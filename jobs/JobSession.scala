@@ -8,7 +8,7 @@ import org.apache.spark.sql.SparkSession
   */
 object JobSession {
   def get(name: String): SparkSession = {
-    val builder = SparkSession.builder.appName(name)
+    val builder = SparkSession.builder().appName(name)
     if (!sys.props.contains("spark.master")) builder.master("local[*]")
     builder.getOrCreate()
   }

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.eval.Experiments
 
 /** Figure 3 (as a table) — mean ns/update of all six methods vs the

@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.eval.Experiments
 
 /** Table II — super-spreader detection FNR/FPR for FreeBS, FreeRS, CSE,

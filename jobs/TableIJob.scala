@@ -1,6 +1,5 @@
 package repro.jobs
 
-import org.apache.spark.sql.SparkSession
 import repro.eval.Experiments
 
 /** Table I — generated dataset replicas vs their scaled targets.

@@ -1,6 +1,6 @@
 package repro.baselines
 
-/** HyperLogLog estimator math shared by HLL++, vHLL and the SQL aggregate.
+/** HyperLogLog estimator math shared by HLL++ and vHLL.
   *
   * `alpha(m)` follows the paper's constants: tabulated values at
   * m ∈ {16, 32, 64} and `0.7213/(1 + 1.079/m)` for m ≥ 128; other m fall
@@ -9,11 +9,6 @@ package repro.baselines
   * where the difference would matter).
   */
 object Hll {
-
-  /** Lookup table of 2^-k for k in [0, 63] — the O(m) estimate scans call
-    * this in their inner loop, where `math.pow` would dominate runtime.
-    */
-  val pow2Neg: Array[Double] = Array.tabulate(64)(k => math.pow(2.0, -k))
 
   /** Bias-correction constant α_m. */
   def alpha(m: Int): Double = {
@@ -40,22 +35,5 @@ object Hll {
       val z = zeroRegs
       if (z > 0) m * math.log(m.toDouble / z) else raw
     } else raw
-  }
-
-  /** Estimate straight from a raw register byte-array (used by the Spark
-    * `Aggregator`, whose buffer is a plain `Array[Byte]`).
-    */
-  def estimateFromRegisters(regs: Array[Byte]): Double = {
-    val m = regs.length
-    var sum = 0.0
-    var zeros = 0
-    var i = 0
-    while (i < m) {
-      val r = regs(i).toInt
-      sum += pow2Neg(r)
-      if (r == 0) zeros += 1
-      i += 1
-    }
-    estimate(m, sum, zeros)
   }
 }

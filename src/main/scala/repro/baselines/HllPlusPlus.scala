@@ -41,7 +41,7 @@ final class HllPlusPlus(val m: Int, val seed: Long = 53L) extends UserCardinalit
     var i = 0
     while (i < m) {
       val r = regs.get(i)
-      sum += Hll.pow2Neg(r)
+      sum += RegisterArray.pow2Neg(r)
       if (r == 0) zeros += 1
       i += 1
     }

@@ -43,7 +43,7 @@ final class Vhll(val bigM: Int, val m: Int, val width: Int = 5, val seed: Long =
     var i = 0
     while (i < m) {
       val r = registers.get(Hashing.userSelect(s, i, bigM.toLong, seed).toInt)
-      sumUser += Hll.pow2Neg(r)
+      sumUser += RegisterArray.pow2Neg(r)
       if (r == 0) zerosUser += 1
       i += 1
     }

@@ -44,11 +44,6 @@ final class BitArray(val size: Long) {
     size - ones
   }
 
-  /** Raw backing words (defensive copy) — used by the dataflow layer to
-    * compare final array state across execution strategies.
-    */
-  def snapshotWords: Array[Long] = words.clone()
-
   /** Memory footprint in bits (the quantity the paper budgets by). */
   def memoryBits: Long = size
 }

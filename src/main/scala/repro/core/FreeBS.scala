@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** FreeBS — parameter-free bit sharing (Algorithm 1 of the paper).
   *
   * One bit array `B` of `m` bits shared by all users. Edge e = (s, d) hashes
@@ -16,34 +14,10 @@ import scala.collection.mutable
   * @param m    number of shared bits (the paper's M)
   * @param seed hash seed; runs are deterministic in it
   */
-final class FreeBS(val m: Long, val seed: Long = 17L) extends UserCardinalitySketch {
-  require(m > 0, s"FreeBS needs a positive number of bits, got $m")
+final class FreeBS(val m: Long, val seed: Long = 17L) extends FreeSketch(new BitSlice(m, 1, seed)) {
 
-  val bits = new BitArray(m)
-  private val counters = mutable.LongMap.empty[Double]
-  private var totalEst = 0.0
+  /** The shared bit array `B`. */
+  def bits: BitArray = slice.bits
 
   override def name: String = "FreeBS"
-
-  override def update(s: Long, d: Long): Unit = {
-    val i = Hashing.pairIndex(s, d, m, seed)
-    val zerosBefore = bits.zeros // q_B = zerosBefore / m, the pre-flip probability
-    if (bits.set(i)) {
-      val inc = m.toDouble / zerosBefore
-      counters(s) = counters.getOrElse(s, 0.0) + inc
-      totalEst += inc
-    }
-  }
-
-  override def estimate(s: Long): Double = counters.getOrElse(s, 0.0)
-
-  /** Estimate of the total number of distinct pairs `n(t)` (sum of all
-    * per-user increments — itself an unbiased estimator of Σ_s n_s).
-    */
-  def estimatedTotal: Double = totalEst
-
-  /** Current change probability `q_B` (fraction of zero bits). */
-  def q: Double = bits.zeros.toDouble / m
-
-  override def memoryBits: Long = bits.memoryBits
 }

@@ -1,7 +1,5 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** FreeRS — parameter-free register sharing (Algorithm 2 of the paper).
   *
   * One array of `m` width-`w` registers shared by all users. Edge e = (s, d)
@@ -22,33 +20,10 @@ import scala.collection.mutable
   * @param seed  hash seed; runs are deterministic in it
   */
 final class FreeRS(val m: Int, val width: Int = 5, val seed: Long = 29L)
-    extends UserCardinalitySketch {
-  require(m > 0, s"FreeRS needs a positive number of registers, got $m")
+    extends FreeSketch(new RegisterSlice(m, 1, width, seed)) {
 
-  val registers = new RegisterArray(m, width)
-  private val counters = mutable.LongMap.empty[Double]
-  private var totalEst = 0.0
+  /** The shared register array `R`. */
+  def registers: RegisterArray = slice.registers
 
   override def name: String = "FreeRS"
-
-  override def update(s: Long, d: Long): Unit = {
-    val i = Hashing.pairIndex(s, d, m.toLong, seed).toInt
-    val r = Hashing.pairRank(s, d, registers.maxValue, seed)
-    val qPre = registers.sumPow2Neg / m // q_R^{(t)}: pre-update change probability
-    if (registers.update(i, r)) {
-      val inc = 1.0 / qPre
-      counters(s) = counters.getOrElse(s, 0.0) + inc
-      totalEst += inc
-    }
-  }
-
-  override def estimate(s: Long): Double = counters.getOrElse(s, 0.0)
-
-  /** Estimate of the total number of distinct pairs (Σ of increments). */
-  def estimatedTotal: Double = totalEst
-
-  /** Current change probability `q_R = Σ_j 2^{-R[j]} / m`. */
-  def q: Double = registers.sumPow2Neg / m
-
-  override def memoryBits: Long = registers.memoryBits
 }

@@ -1,5 +1,7 @@
 package repro.core
 
+import RegisterArray.pow2Neg
+
 /** A mutable array of `size` registers of `width` bits each, with the
   * running sum `Σ_j 2^{-R[j]}` maintained incrementally.
   *
@@ -21,8 +23,6 @@ final class RegisterArray(val size: Int, val width: Int) {
   private val regs = new Array[Byte](size)
   private var sumPow: Double = size.toDouble // all registers zero: Σ 2^0 = size
   private var zeroRegs: Int = size
-
-  private val pow2Neg: Array[Double] = Array.tabulate(maxValue + 1)(k => math.pow(2.0, -k))
 
   /** Current value of register `i`. */
   def get(i: Int): Int = {
@@ -72,9 +72,15 @@ final class RegisterArray(val size: Int, val width: Int) {
     z
   }
 
-  /** Defensive copy of the raw registers. */
-  def snapshot: Array[Byte] = regs.clone()
-
   /** Memory footprint in bits (the quantity the paper budgets by). */
   def memoryBits: Long = size.toLong * width
+}
+
+object RegisterArray {
+
+  /** Lookup table of 2^-k for k in [0, 63], shared by every register
+    * estimator: the O(m) HLL scans of the baselines call it in their inner
+    * loop, where `math.pow` would dominate runtime.
+    */
+  val pow2Neg: Array[Double] = Array.tabulate(64)(k => math.pow(2.0, -k))
 }

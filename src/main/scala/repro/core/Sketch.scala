@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.mutable
+
 /** Common interface of every user-cardinality sketch in this repo.
   *
   * Semantics follow §V-B of the paper: `update(s, d)` processes one edge of
@@ -23,4 +25,34 @@ trait UserCardinalitySketch {
     * method needs alike (the paper excludes them from comparisons too).
     */
   def memoryBits: Long
+}
+
+/** FreeBS/FreeRS: one [[FreeSlice]] kernel spanning the whole shared array
+  * (`slices = 1`) plus per-user Horvitz–Thompson counters. Each edge is
+  * offered to the kernel, and a non-zero increment `1/q` is added to the
+  * user's counter and to the running total.
+  */
+abstract class FreeSketch[K <: FreeSlice](protected val slice: K) extends UserCardinalitySketch {
+  private val counters = mutable.LongMap.empty[Double]
+  private var totalEst = 0.0
+
+  final override def update(s: Long, d: Long): Unit = {
+    val inc = slice.offer(s, d)
+    if (inc != 0.0) {
+      counters(s) = counters.getOrElse(s, 0.0) + inc
+      totalEst += inc
+    }
+  }
+
+  final override def estimate(s: Long): Double = counters.getOrElse(s, 0.0)
+
+  /** Estimate of the total number of distinct pairs `n(t)` (sum of all
+    * per-user increments — itself an unbiased estimator of Σ_s n_s).
+    */
+  def estimatedTotal: Double = totalEst
+
+  /** Current change probability q of the shared array. */
+  def q: Double = slice.q
+
+  override def memoryBits: Long = slice.memoryBits
 }

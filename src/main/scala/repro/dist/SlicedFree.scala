@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 import scala.collection.mutable
 
-import repro.core.{BitArray, Hashing, RegisterArray}
+import repro.core.{BitSlice, FreeSlice, Hashing, RegisterSlice}
 
 /** Distributed batch FreeBS/FreeRS over a Spark dataflow (DESIGN.md §3).
   *
@@ -26,57 +26,38 @@ object SlicedFree {
     *
     * @param bigM shared bit-array size; must be divisible by slices
     */
-  def freeBS(edges: Dataset[Edge], bigM: Long, slices: Int, seed: Long = 17L): DataFrame = {
-    require(slices > 0 && bigM % slices == 0, s"bigM=$bigM must be divisible by slices=$slices")
+  def freeBS(edges: Dataset[Edge], bigM: Long, slices: Int, seed: Long = 17L): DataFrame =
+    estimates(edges, bigM, slices, seed)(() => new BitSlice(bigM, slices, seed))
+
+  /** Per-user estimates (columns s, estimate) via slice-partitioned FreeRS. */
+  def freeRS(edges: Dataset[Edge], bigM: Int, slices: Int, width: Int = 5,
+             seed: Long = 29L): DataFrame =
+    estimates(edges, bigM.toLong, slices, seed)(() => new RegisterSlice(bigM, slices, width, seed))
+
+  private def estimates(edges: Dataset[Edge], bigM: Long, slices: Int, seed: Long)(
+      newSlice: () => FreeSlice): DataFrame = {
+    FreeSlice.sliceSize(bigM, slices) // fail at call time, before any job runs
     val spark = edges.sparkSession
     import spark.implicits._
-    val sliceSize = bigM / slices
-
     edges
-      .groupByKey(e => (Hashing.pairIndex(e.s, e.d, bigM, seed) % slices).toInt)
-      .flatMapGroups { (_: Int, it: Iterator[Edge]) =>
-        val buf = it.toArray.sortBy(_.t) // deterministic within-slice order
-        val bits = new BitArray(sliceSize)
-        val est = mutable.LongMap.empty[Double]
-        buf.foreach { e =>
-          val local = Hashing.pairIndex(e.s, e.d, bigM, seed) / slices
-          val zeros = bits.zeros
-          if (bits.set(local))
-            est(e.s) = est.getOrElse(e.s, 0.0) + sliceSize.toDouble / zeros
-        }
-        est.iterator.map { case (s, v) => (s, v) }
-      }
+      .groupByKey(e => FreeSlice.key(e.s, e.d, bigM, slices, seed))
+      .flatMapGroups((_: Int, it: Iterator[Edge]) => offerAll(newSlice(), it).iterator)
       .toDF("s", "delta")
       .groupBy("s")
       .agg(sum("delta") as "estimate")
   }
 
-  /** Per-user estimates (columns s, estimate) via slice-partitioned FreeRS. */
-  def freeRS(edges: Dataset[Edge], bigM: Int, slices: Int, width: Int = 5,
-             seed: Long = 29L): DataFrame = {
-    require(slices > 0 && bigM % slices == 0, s"bigM=$bigM must be divisible by slices=$slices")
-    val spark = edges.sparkSession
-    import spark.implicits._
-    val sliceSize = bigM / slices
-
-    edges
-      .groupByKey(e => (Hashing.pairIndex(e.s, e.d, bigM.toLong, seed) % slices).toInt)
-      .flatMapGroups { (_: Int, it: Iterator[Edge]) =>
-        val buf = it.toArray.sortBy(_.t)
-        val regs = new RegisterArray(sliceSize.toInt, width)
-        val est = mutable.LongMap.empty[Double]
-        buf.foreach { e =>
-          val local = (Hashing.pairIndex(e.s, e.d, bigM.toLong, seed) / slices).toInt
-          val r = Hashing.pairRank(e.s, e.d, regs.maxValue, seed)
-          val qPre = regs.sumPow2Neg / sliceSize
-          if (regs.update(local, r))
-            est(e.s) = est.getOrElse(e.s, 0.0) + 1.0 / qPre
-        }
-        est.iterator.map { case (s, v) => (s, v) }
-      }
-      .toDF("s", "delta")
-      .groupBy("s")
-      .agg(sum("delta") as "estimate")
+  /** The slice-local pass of every Spark path: offer a slice's edges to its
+    * kernel in arrival order t (deterministic, whatever the partitioning)
+    * and sum the Horvitz–Thompson increments per user.
+    */
+  private[dist] def offerAll(slice: FreeSlice, edges: Iterator[Edge]): mutable.LongMap[Double] = {
+    val est = mutable.LongMap.empty[Double]
+    edges.toArray.sortBy(_.t).foreach { e =>
+      val inc = slice.offer(e.s, e.d)
+      if (inc != 0.0) est(e.s) = est.getOrElse(e.s, 0.0) + inc
+    }
+    est
   }
 
   /** Final global bit positions that any FreeBS execution (sequential or

@@ -1,20 +1,19 @@
 package repro.dist
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
-import scala.collection.mutable
 
-import repro.core.Hashing
+import repro.core.{BitSlice, FreeSlice, RegisterSlice}
 
 /** Structured Streaming FreeBS/FreeRS (DESIGN.md §3 — the calibration
   * hint's "stateful aggregation (mapGroupsWithState) updating sketch arrays
   * per key").
   *
   * The stream of edges is keyed by array slice; `flatMapGroupsWithState`
-  * holds each slice's sketch array (plus its zero count / register sum) as
-  * group state, applies the slice-local FreeBS/FreeRS update to every edge
-  * of the micro-batch, and emits per-user Horvitz–Thompson estimate deltas.
+  * holds each slice's [[FreeSlice]] kernel as group state, runs the
+  * slice-local pass of [[SlicedFree]] over each micro-batch (edges in order
+  * t) and emits per-user Horvitz–Thompson estimate deltas.
   * A downstream streaming aggregation `groupBy(user).sum(delta)` maintains
   * the live per-user cardinality estimates — available at every trigger, as
   * the paper's "anytime" requirement demands. Duplicate edges are absorbed
@@ -23,91 +22,39 @@ import repro.core.Hashing
 object StreamingFree {
 
   /** One stream edge: arrival index t, user s, item d. */
-  final case class Edge(t: Long, s: Long, d: Long)
-
-  /** Per-user estimate delta emitted by a slice for one micro-batch. */
-  final case class Delta(user: Long, delta: Double)
-
-  /** FreeBS slice state: packed bit words + remaining zero count. */
-  final case class BsState(words: Array[Long], zeros: Long)
-
-  /** FreeRS slice state: register bytes + Σ 2^-R[j]. */
-  final case class RsState(regs: Array[Byte], sumPow: Double)
-
-  private def bsUpdate(bigM: Long, slices: Int, seed: Long)(
-      slice: Int, edges: Iterator[Edge], state: GroupState[BsState]): Iterator[Delta] = {
-    val sliceSize = bigM / slices
-    val st = if (state.exists) state.get
-             else BsState(new Array[Long](((sliceSize + 63) >>> 6).toInt), sliceSize)
-    val words = st.words.clone()
-    var zeros = st.zeros
-    val acc = mutable.LongMap.empty[Double]
-    edges.foreach { e =>
-      val local = Hashing.pairIndex(e.s, e.d, bigM, seed) / slices
-      val w = (local >>> 6).toInt
-      val mask = 1L << (local & 63)
-      if ((words(w) & mask) == 0) {
-        acc(e.s) = acc.getOrElse(e.s, 0.0) + sliceSize.toDouble / zeros
-        words(w) |= mask
-        zeros -= 1
-      }
-    }
-    state.update(BsState(words, zeros))
-    acc.iterator.map { case (s, v) => Delta(s, v) }.toList.iterator
-  }
-
-  private def rsUpdate(bigM: Int, slices: Int, width: Int, seed: Long)(
-      slice: Int, edges: Iterator[Edge], state: GroupState[RsState]): Iterator[Delta] = {
-    val sliceSize = bigM / slices
-    val maxValue = (1 << width) - 1
-    val st = if (state.exists) state.get
-             else RsState(new Array[Byte](sliceSize), sliceSize.toDouble)
-    val regs = st.regs.clone()
-    var sumPow = st.sumPow
-    val acc = mutable.LongMap.empty[Double]
-    edges.foreach { e =>
-      val local = (Hashing.pairIndex(e.s, e.d, bigM.toLong, seed) / slices).toInt
-      val r = math.min(Hashing.pairRank(e.s, e.d, maxValue, seed), maxValue)
-      val old = regs(local).toInt
-      if (r > old) {
-        val qPre = sumPow / sliceSize
-        acc(e.s) = acc.getOrElse(e.s, 0.0) + 1.0 / qPre
-        sumPow += math.pow(2.0, -r) - math.pow(2.0, -old)
-        regs(local) = r.toByte
-      }
-    }
-    state.update(RsState(regs, sumPow))
-    acc.iterator.map { case (s, v) => Delta(s, v) }.toList.iterator
-  }
+  type Edge = SlicedFree.Edge
+  val Edge = SlicedFree.Edge
 
   /** Streaming per-user FreeBS estimates: a streaming DataFrame
     * (user, estimate) to be written with OutputMode.Complete.
     */
   def freeBSEstimates(edges: Dataset[Edge], bigM: Long, slices: Int,
-                      seed: Long = 17L): DataFrame = {
-    require(slices > 0 && bigM % slices == 0, s"bigM=$bigM must be divisible by slices=$slices")
-    val spark = edges.sparkSession
-    import spark.implicits._
-    edges
-      .groupByKey(e => (Hashing.pairIndex(e.s, e.d, bigM, seed) % slices).toInt)
-      .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout)(
-        bsUpdate(bigM, slices, seed))
-      .groupBy("user")
-      .agg(sum("delta") as "estimate")
-  }
+                      seed: Long = 17L): DataFrame =
+    estimates(edges, bigM, slices, seed)(() => new BitSlice(bigM, slices, seed))
 
   /** Streaming per-user FreeRS estimates: a streaming DataFrame
     * (user, estimate) to be written with OutputMode.Complete.
     */
   def freeRSEstimates(edges: Dataset[Edge], bigM: Int, slices: Int, width: Int = 5,
-                      seed: Long = 29L): DataFrame = {
-    require(slices > 0 && bigM % slices == 0, s"bigM=$bigM must be divisible by slices=$slices")
+                      seed: Long = 29L): DataFrame =
+    estimates(edges, bigM.toLong, slices, seed)(() => new RegisterSlice(bigM, slices, width, seed))
+
+  private def estimates(edges: Dataset[Edge], bigM: Long, slices: Int, seed: Long)(
+      newSlice: () => FreeSlice): DataFrame = {
+    FreeSlice.sliceSize(bigM, slices) // fail at call time, before the query starts
     val spark = edges.sparkSession
     import spark.implicits._
+    implicit val sliceState: Encoder[FreeSlice] = Encoders.kryo[FreeSlice]
     edges
-      .groupByKey(e => (Hashing.pairIndex(e.s, e.d, bigM.toLong, seed) % slices).toInt)
-      .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout)(
-        rsUpdate(bigM, slices, width, seed))
+      .groupByKey(e => FreeSlice.key(e.s, e.d, bigM, slices, seed))
+      .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout) {
+        (_: Int, batch: Iterator[Edge], state: GroupState[FreeSlice]) =>
+          val slice = state.getOption.getOrElse(newSlice())
+          val deltas = SlicedFree.offerAll(slice, batch)
+          state.update(slice)
+          deltas.iterator
+      }
+      .toDF("user", "delta")
       .groupBy("user")
       .agg(sum("delta") as "estimate")
   }

@@ -47,10 +47,6 @@ class HllSpec extends SparkSpec {
     assert(Hll.estimate(m, sum, 0) == Hll.rawEstimate(m, sum))
   }
 
-  test("estimateFromRegisters of an empty sketch is 0") {
-    assert(Hll.estimateFromRegisters(new Array[Byte](64)) == 0.0)
-  }
-
   test("simulated sketch: large-n accuracy within 3σ") {
     val m = 256
     val n = 50000
@@ -72,16 +68,6 @@ class HllSpec extends SparkSpec {
     }
     val est = Hll.estimate(m, regs.sumPow2Neg, regs.countZero)
     assert(math.abs(est - n) < 8, s"LC estimate $est vs $n")
-  }
-
-  test("estimateFromRegisters agrees with estimate on the same registers") {
-    val m = 128
-    val regs = new RegisterArray(m, 6)
-    val rng = new java.util.SplittableRandom(4)
-    (0 until 500).foreach(_ => regs.update(rng.nextInt(m), rng.nextInt(20)))
-    val viaBytes = Hll.estimateFromRegisters(regs.snapshot)
-    val direct = Hll.estimate(m, regs.sumPow2Neg, regs.countZero)
-    assert(math.abs(viaBytes - direct) < 1e-9)
   }
 
   test("alpha rejects degenerate m") {

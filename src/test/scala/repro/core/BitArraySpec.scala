@@ -54,14 +54,6 @@ class BitArraySpec extends SparkSpec {
     intercept[IllegalArgumentException](new BitArray(-5))
   }
 
-  test("snapshotWords is a defensive copy") {
-    val b = new BitArray(64)
-    b.set(3)
-    val snap = b.snapshotWords
-    snap(0) = 0L
-    assert(b.get(3))
-  }
-
   test("memoryBits equals the declared size") {
     assert(new BitArray(123).memoryBits == 123)
   }

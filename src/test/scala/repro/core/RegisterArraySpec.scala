@@ -80,14 +80,6 @@ class RegisterArraySpec extends SparkSpec {
     intercept[IllegalArgumentException](new RegisterArray(8, 0))
   }
 
-  test("snapshot is a defensive copy") {
-    val r = new RegisterArray(8, 5)
-    r.update(1, 9)
-    val s = r.snapshot
-    s(1) = 0
-    assert(r.get(1) == 9)
-  }
-
   test("memoryBits = size × width") {
     assert(new RegisterArray(100, 5).memoryBits == 500)
     assert(new RegisterArray(7, 6).memoryBits == 42)

@@ -1,0 +1,35 @@
+package repro.dist
+
+import org.scalatest.Assertions._
+import scala.collection.mutable
+
+import repro.core.FreeSlice
+
+/** Sequential reference for the Spark paths: P kernels run one after
+  * another over the edges in arrival order t, each edge offered to its slice.
+  */
+object SliceReference {
+
+  /** Per-user estimates of `slices` kernels made by `newSlice`, run in t order. */
+  def estimates(edges: Seq[SlicedFree.Edge])(newSlice: => FreeSlice): Map[Long, Double] = {
+    val k = newSlice
+    val kernels = k +: Array.fill(k.slices - 1)(newSlice)
+    val est = mutable.LongMap.empty[Double]
+    edges.sortBy(_.t).foreach { e =>
+      val inc = kernels(FreeSlice.key(e.s, e.d, k.bigM, k.slices, k.seed)).offer(e.s, e.d)
+      est(e.s) = est.getOrElse(e.s, 0.0) + inc
+    }
+    est.toMap
+  }
+
+  /** Asserts that every user's estimate in `got` is within `tol` of the reference. */
+  def assertMatches(got: Map[Long, Double], edges: Seq[SlicedFree.Edge], tol: Double)(
+      newSlice: => FreeSlice): Unit = {
+    val ref = estimates(edges)(newSlice)
+    val off = (got.keySet ++ ref.keySet).toSeq.sorted.flatMap { u =>
+      val (g, r) = (got.getOrElse(u, 0.0), ref.getOrElse(u, 0.0))
+      if (math.abs(g - r) <= tol) None else Some(s"user $u: $g vs reference $r")
+    }
+    assert(off.isEmpty, off.take(5).mkString("; "))
+  }
+}

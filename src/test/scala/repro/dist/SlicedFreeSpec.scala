@@ -1,7 +1,7 @@
 package repro.dist
 
 import repro.SparkSpec
-import repro.core.{FreeBS, FreeRS}
+import repro.core.{BitSlice, FreeBS, FreeRS, RegisterSlice}
 import repro.data.{GraphStream, Profile}
 
 class SlicedFreeSpec extends SparkSpec {
@@ -48,6 +48,7 @@ class SlicedFreeSpec extends SparkSpec {
     val ds = spark.createDataset(rows)
     val got = SlicedFree.freeBS(ds, bigM = 1L << 16, slices = 8, seed = 17L)
       .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+    SliceReference.assertMatches(got, rows, 1e-6)(new BitSlice(1L << 16, 8, 17L))
     val totalEst = got.values.sum
     assert(math.abs(totalEst - es.totalCardinality) < 0.1 * es.totalCardinality,
       s"total $totalEst vs ${es.totalCardinality}")
@@ -62,6 +63,7 @@ class SlicedFreeSpec extends SparkSpec {
     val ds = spark.createDataset(rows)
     val got = SlicedFree.freeRS(ds, bigM = 1 << 13, slices = 8, seed = 29L)
       .collect().map(r => r.getLong(0) -> r.getDouble(1)).toMap
+    SliceReference.assertMatches(got, rows, 1e-6)(new RegisterSlice(1 << 13, 8, 5, 29L))
     val totalEst = got.values.sum
     assert(math.abs(totalEst - es.totalCardinality) < 0.15 * es.totalCardinality,
       s"total $totalEst vs ${es.totalCardinality}")

@@ -3,7 +3,7 @@ package repro.dist
 import org.apache.spark.sql.execution.streaming.runtime.MemoryStream
 import org.apache.spark.sql.streaming.StreamingQuery
 import repro.SparkSpec
-import repro.core.{FreeBS, FreeRS}
+import repro.core.{BitSlice, FreeBS, FreeRS, RegisterSlice}
 import repro.data.{GraphStream, Profile}
 
 class StreamingFreeSpec extends SparkSpec {
@@ -45,6 +45,7 @@ class StreamingFreeSpec extends SparkSpec {
     val batches = rows.grouped(rows.length / 3 + 1).toSeq
     val got = runStream(batches, "sbs1")(ds =>
       StreamingFree.freeBSEstimates(ds, bigM = 4096L, slices = 4, seed = 17L))
+    SliceReference.assertMatches(got, rows, 1e-9)(new BitSlice(4096L, 4, 17L))
     val totalEst = got.values.sum
     assert(math.abs(totalEst - es.totalCardinality) < 0.25 * es.totalCardinality,
       s"total $totalEst vs ${es.totalCardinality}")
@@ -57,6 +58,7 @@ class StreamingFreeSpec extends SparkSpec {
     val batches = rows.grouped(rows.length / 3 + 1).toSeq
     val got = runStream(batches, "srs1")(ds =>
       StreamingFree.freeRSEstimates(ds, bigM = 1024, slices = 4, seed = 29L))
+    SliceReference.assertMatches(got, rows, 1e-9)(new RegisterSlice(1024, 4, 5, 29L))
     val totalEst = got.values.sum
     assert(math.abs(totalEst - es.totalCardinality) < 0.25 * es.totalCardinality,
       s"total $totalEst vs ${es.totalCardinality}")
