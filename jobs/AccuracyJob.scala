@@ -14,11 +14,8 @@ object AccuracyJob {
       .map(n => Profile.all.find(_.name.equalsIgnoreCase(n)).getOrElse(
         sys.error(s"unknown dataset '$n'; known: ${Profile.all.map(_.name).mkString(", ")}")))
       .getOrElse(Profile.orkut)
-    val spark = JobSession.get("accuracy")
-    try {
-      println(s"RSE by cardinality bucket on ${profile.name} replica:")
-      println(Experiments.renderAccuracy(Experiments.accuracyTable(profile)))
-      println(Experiments.renderSweep(Experiments.mSweep(profile = profile)))
-    } finally spark.stop()
+    println(s"RSE by cardinality bucket on ${profile.name} replica:")
+    println(Experiments.renderAccuracy(Experiments.accuracyTable(profile)))
+    println(Experiments.renderSweep(Experiments.mSweep(profile = profile)))
   }
 }

@@ -10,10 +10,7 @@ import repro.eval.Experiments
 object RuntimeJob {
   def main(args: Array[String]): Unit = {
     val ms = if (args.nonEmpty) args.map(_.toInt).toSeq else Seq(16, 64, 256, 1024)
-    val spark = JobSession.get("runtime")
-    try {
-      println("Mean update time (ns) per method and per-user sketch size m:")
-      println(Experiments.renderRuntime(Experiments.runtimeTable(ms)))
-    } finally spark.stop()
+    println("Mean update time (ns) per method and per-user sketch size m:")
+    println(Experiments.renderRuntime(Experiments.runtimeTable(ms)))
   }
 }

@@ -12,10 +12,7 @@ object TableIIJob {
     val sigma = if (args.length > 0) args(0).toDouble else Experiments.DefaultSigma
     val mBits = if (args.length > 1) args(1).toLong else Experiments.DefaultMBits
     val m = if (args.length > 2) args(2).toInt else Experiments.DefaultVirtualM
-    val spark = JobSession.get("tableII")
-    try {
-      println(s"Table II: Delta=${Experiments.Delta}, M=$mBits bits, m=$m, sigma=$sigma")
-      println(Experiments.renderTableII(Experiments.tableII(sigma = sigma, mBits = mBits, m = m)))
-    } finally spark.stop()
+    println(s"Table II: Delta=${Experiments.Delta}, M=$mBits bits, m=$m, sigma=$sigma")
+    println(Experiments.renderTableII(Experiments.tableII(sigma = sigma, mBits = mBits, m = m)))
   }
 }

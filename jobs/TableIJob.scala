@@ -9,10 +9,7 @@ import repro.eval.Experiments
 object TableIJob {
   def main(args: Array[String]): Unit = {
     val sigma = if (args.nonEmpty) args(0).toDouble else Experiments.DefaultSigma
-    val spark = JobSession.get("tableI")
-    try {
-      println(s"Table I replicas at sigma=$sigma (targets = paper x sigma):")
-      println(Experiments.renderTableI(Experiments.tableI(sigma)))
-    } finally spark.stop()
+    println(s"Table I replicas at sigma=$sigma (targets = paper x sigma):")
+    println(Experiments.renderTableI(Experiments.tableI(sigma)))
   }
 }

@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core.{BitArray, Hashing, UserCardinalitySketch}
-import scala.collection.mutable
 
 /** CSE — Compact Spread Estimator (Yoon et al.), the bit-sharing baseline.
   *
@@ -23,14 +22,13 @@ final class Cse(val bigM: Long, val m: Int, val seed: Long = 67L)
   require(m > 0 && m <= bigM, s"CSE virtual size m=$m must be in (0, $bigM]")
 
   val array = new BitArray(bigM)
-  private val counters = mutable.LongMap.empty[Double]
 
   override def name: String = "CSE"
 
   override def update(s: Long, d: Long): Unit = {
     val j = Hashing.itemIndex(d, m.toLong, seed).toInt
     array.set(Hashing.userSelect(s, j, bigM, seed))
-    counters(s) = estimateNow(s)
+    counters.put(s, estimateNow(s))
   }
 
   /** Recompute the estimate of `s` from the shared array (O(m) scan). */
@@ -41,15 +39,13 @@ final class Cse(val bigM: Long, val m: Int, val seed: Long = 67L)
       if (!array.get(Hashing.userSelect(s, i, bigM, seed))) zerosVirtual += 1
       i += 1
     }
-    if (zerosVirtual == 0) m * math.log(m.toDouble) // saturated: range cap m·ln m
+    val raw = Lpc.estimate(m, zerosVirtual)
+    if (zerosVirtual == 0) raw // saturated: the range cap m·ln m
     else {
-      val raw = -m * math.log(zerosVirtual.toDouble / m)
       val noise = -m * math.log(array.zeros.toDouble / bigM)
       math.max(0.0, raw - noise)
     }
   }
-
-  override def estimate(s: Long): Double = counters.getOrElse(s, 0.0)
 
   override def memoryBits: Long = array.memoryBits
 }

@@ -29,11 +29,8 @@ object Hll {
     * the paper: when the raw estimate is below 2.5·m, the registers are read
     * as an LPC bitmap of m bits with `zeroRegs` zeros.
     */
-  def estimate(m: Int, sumPow2Neg: Double, zeroRegs: => Int): Double = {
+  def estimate(m: Int, sumPow2Neg: Double, zeroRegs: Int): Double = {
     val raw = rawEstimate(m, sumPow2Neg)
-    if (raw < 2.5 * m) {
-      val z = zeroRegs
-      if (z > 0) m * math.log(m.toDouble / z) else raw
-    } else raw
+    if (raw < 2.5 * m && zeroRegs > 0) m * math.log(m.toDouble / zeroRegs) else raw
   }
 }

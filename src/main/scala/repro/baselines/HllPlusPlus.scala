@@ -18,7 +18,6 @@ final class HllPlusPlus(val m: Int, val seed: Long = 53L) extends UserCardinalit
   val width = 6
 
   private val sketches = mutable.LongMap.empty[RegisterArray]
-  private val counters = mutable.LongMap.empty[Double]
 
   override def name: String = "HLL++"
 
@@ -30,7 +29,7 @@ final class HllPlusPlus(val m: Int, val seed: Long = 53L) extends UserCardinalit
     val pos = Hashing.itemIndex(d, m.toLong, seed).toInt
     val r = Hashing.rank(d, regs.maxValue, seed)
     regs.update(pos, r)
-    counters(s) = estimateFrom(regs)
+    counters.put(s, estimateFrom(regs))
   }
 
   // O(m) register enumeration per estimate, the cost model of §V-D (the
@@ -50,8 +49,6 @@ final class HllPlusPlus(val m: Int, val seed: Long = 53L) extends UserCardinalit
 
   /** Recompute the estimate of `s` from its current registers (O(m)). */
   def estimateNow(s: Long): Double = sketches.get(s).map(estimateFrom).getOrElse(0.0)
-
-  override def estimate(s: Long): Double = counters.getOrElse(s, 0.0)
 
   /** Total memory across all allocated per-user sketches. */
   override def memoryBits: Long = sketches.size.toLong * m * width

@@ -17,7 +17,6 @@ final class Lpc(val m: Int, val seed: Long = 41L) extends UserCardinalitySketch 
   require(m > 0, s"LPC needs a positive per-user sketch size, got $m")
 
   private val sketches = mutable.LongMap.empty[BitArray]
-  private val counters = mutable.LongMap.empty[Double]
 
   override def name: String = "LPC"
 
@@ -27,20 +26,26 @@ final class Lpc(val m: Int, val seed: Long = 41L) extends UserCardinalitySketch 
   override def update(s: Long, d: Long): Unit = {
     val b = sketchOf(s)
     b.set(Hashing.itemIndex(d, m.toLong, seed))
-    counters(s) = estimateFrom(b)
+    counters.put(s, estimateFrom(b))
   }
 
-  private def estimateFrom(b: BitArray): Double = {
-    val u = b.recountZeros() // O(m) bitmap enumeration, as in the paper
-    if (u == 0) m * math.log(m.toDouble) // saturated: range cap m·ln m
-    else -m * math.log(u.toDouble / m)
-  }
+  private def estimateFrom(b: BitArray): Double =
+    Lpc.estimate(m, b.recountZeros()) // O(m) bitmap enumeration, as in the paper
 
   /** Recompute the estimate of `s` from its current bitmap (O(m) scan). */
   def estimateNow(s: Long): Double = sketches.get(s).map(estimateFrom).getOrElse(0.0)
 
-  override def estimate(s: Long): Double = counters.getOrElse(s, 0.0)
-
   /** Total memory across all allocated per-user sketches. */
   override def memoryBits: Long = sketches.size.toLong * m
+}
+
+object Lpc {
+
+  /** Linear-counting estimate `−m·ln(zeros/m)` of an m-bit bitmap with
+    * `zeros` zero bits, capped at the range limit `m·ln m` when the bitmap
+    * saturates. CSE applies it to a user's virtual bitmap.
+    */
+  def estimate(m: Int, zeros: Long): Double =
+    if (zeros == 0) m * math.log(m.toDouble) // saturated: range cap m·ln m
+    else -m * math.log(zeros.toDouble / m)
 }

@@ -1,7 +1,6 @@
 package repro.baselines
 
 import repro.core.{Hashing, RegisterArray, UserCardinalitySketch}
-import scala.collection.mutable
 
 /** vHLL — virtual HyperLogLog (Xiao et al.), the register-sharing baseline.
   *
@@ -24,7 +23,6 @@ final class Vhll(val bigM: Int, val m: Int, val width: Int = 5, val seed: Long =
   require(m > 0 && m < bigM, s"vHLL virtual size m=$m must be in (0, $bigM)")
 
   val registers = new RegisterArray(bigM, width)
-  private val counters = mutable.LongMap.empty[Double]
 
   override def name: String = "vHLL"
 
@@ -33,7 +31,7 @@ final class Vhll(val bigM: Int, val m: Int, val width: Int = 5, val seed: Long =
     val pos = Hashing.userSelect(s, j, bigM.toLong, seed).toInt
     val r = Hashing.rank(d, registers.maxValue, seed)
     registers.update(pos, r)
-    counters(s) = estimateNow(s)
+    counters.put(s, estimateNow(s))
   }
 
   /** Recompute the estimate of `s` from the shared array (O(m) scan). */
@@ -57,8 +55,6 @@ final class Vhll(val bigM: Int, val m: Int, val width: Int = 5, val seed: Long =
     val noiseTerm = m.toDouble * globalEst / bigM
     math.max(0.0, bigM.toDouble / (bigM - m) * (userTerm - noiseTerm))
   }
-
-  override def estimate(s: Long): Double = counters.getOrElse(s, 0.0)
 
   override def memoryBits: Long = registers.memoryBits
 }

@@ -1,16 +1,17 @@
 package repro.core
 
-import scala.collection.mutable
-
 /** Common interface of every user-cardinality sketch in this repo.
   *
   * Semantics follow §V-B of the paper: `update(s, d)` processes one edge of
   * the graph stream (duplicates allowed) and refreshes the arriving user's
-  * tracked cardinality counter; `estimate(s)` reads that counter — i.e. for
-  * the O(m) baselines it returns the estimate computed at `s`'s most recent
-  * arrival, not a freshly recomputed one.
+  * tracked cardinality counter in [[counters]]; `estimate(s)` reads that
+  * counter — i.e. for the O(m) baselines it returns the estimate computed at
+  * `s`'s most recent arrival, not a freshly recomputed one.
   */
 trait UserCardinalitySketch {
+
+  /** Per-user tracked cardinality counters, refreshed by `update`. */
+  protected final val counters = new UserCounters
 
   /** Short method name as used in the paper's tables ("FreeBS", "vHLL", …). */
   def name: String
@@ -19,7 +20,7 @@ trait UserCardinalitySketch {
   def update(s: Long, d: Long): Unit
 
   /** Tracked cardinality estimate of user `s` (0 if never seen). */
-  def estimate(s: Long): Double
+  final def estimate(s: Long): Double = counters(s)
 
   /** Sketch memory in bits, excluding the per-user counters that every
     * method needs alike (the paper excludes them from comparisons too).
@@ -33,18 +34,13 @@ trait UserCardinalitySketch {
   * user's counter and to the running total.
   */
 abstract class FreeSketch[K <: FreeSlice](protected val slice: K) extends UserCardinalitySketch {
-  private val counters = mutable.LongMap.empty[Double]
   private var totalEst = 0.0
 
   final override def update(s: Long, d: Long): Unit = {
     val inc = slice.offer(s, d)
-    if (inc != 0.0) {
-      counters(s) = counters.getOrElse(s, 0.0) + inc
-      totalEst += inc
-    }
+    counters.add(s, inc)
+    totalEst += inc
   }
-
-  final override def estimate(s: Long): Double = counters.getOrElse(s, 0.0)
 
   /** Estimate of the total number of distinct pairs `n(t)` (sum of all
     * per-user increments — itself an unbiased estimator of Σ_s n_s).

@@ -2,9 +2,8 @@ package repro.dist
 
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
-import scala.collection.mutable
 
-import repro.core.{BitSlice, FreeSlice, Hashing, RegisterSlice}
+import repro.core.{BitSlice, FreeSlice, Hashing, RegisterSlice, UserCounters}
 
 /** Distributed batch FreeBS/FreeRS over a Spark dataflow (DESIGN.md §3).
   *
@@ -51,12 +50,9 @@ object SlicedFree {
     * kernel in arrival order t (deterministic, whatever the partitioning)
     * and sum the Horvitz–Thompson increments per user.
     */
-  private[dist] def offerAll(slice: FreeSlice, edges: Iterator[Edge]): mutable.LongMap[Double] = {
-    val est = mutable.LongMap.empty[Double]
-    edges.toArray.sortBy(_.t).foreach { e =>
-      val inc = slice.offer(e.s, e.d)
-      if (inc != 0.0) est(e.s) = est.getOrElse(e.s, 0.0) + inc
-    }
+  private[dist] def offerAll(slice: FreeSlice, edges: Iterator[Edge]): UserCounters = {
+    val est = new UserCounters
+    edges.toArray.sortBy(_.t).foreach(e => est.add(e.s, slice.offer(e.s, e.d)))
     est
   }
 

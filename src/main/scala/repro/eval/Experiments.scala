@@ -108,8 +108,7 @@ object Experiments {
     val st = ds.stream
     val threshold = delta * st.totalCardinality
     tableIISketches(mBits, m, st.userCount, seed).map { sk =>
-      var i = 0
-      while (i < st.length) { sk.update(st.users(i), st.items(i)); i += 1 }
+      Harness.run(sk, st.users, st.items)
       val (fnr, fpr, trueSp) = Metrics.superSpreader(st.truth, sk.estimate, threshold)
       var reported = 0L
       var u = 0
@@ -203,8 +202,7 @@ object Experiments {
     val sketches = tableIISketches(mBits, m, st.userCount, seed + 11) :+
       lpcSketch(mBits, st.userCount, seed + 11)
     sketches.flatMap { sk =>
-      var i = 0
-      while (i < st.length) { sk.update(st.users(i), st.items(i)); i += 1 }
+      Harness.run(sk, st.users, st.items)
       Metrics.rseByBucket(st.truth, sk.estimate, Metrics.log2Bucket).toSeq.map {
         case (b, (meanN, rse, cnt)) => AccuracyRow(sk.name, 1 << b, meanN, rse, cnt)
       }
@@ -245,8 +243,7 @@ object Experiments {
       Seq[UserCardinalitySketch](
         new Cse(mBits, m, seed + 21), new Vhll(regs, m, RegisterWidth, seed + 22)
       ).map { sk =>
-        var i = 0
-        while (i < st.length) { sk.update(st.users(i), st.items(i)); i += 1 }
+        Harness.run(sk, st.users, st.items)
         val small = Metrics.rseByBucket(
           st.truth, sk.estimate, n => if (n <= cut) 0 else 1)
         SweepRow(sk.name, m, small(0)._2)

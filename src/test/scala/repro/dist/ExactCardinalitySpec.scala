@@ -1,7 +1,7 @@
 package repro.dist
 
 import org.apache.spark.sql.functions._
-import repro.{Oracle, SparkSpec, SynthData}
+import repro.{Oracle, SparkSpec}
 import repro.data.{GraphStream, Profile}
 
 class ExactCardinalitySpec extends SparkSpec {
@@ -24,8 +24,10 @@ class ExactCardinalitySpec extends SparkSpec {
   }
 
   test("perUser is oracle-equivalent to DuckDB on a zipf bipartite stream") {
-    val df = SynthData.bipartiteEdges(spark, rows = 5000, nUsers = 100, nItems = 500, seed = 9)
-      .select("s", "d").cache()
+    // Power-law user cardinalities; items folded into a pool of 500 shared
+    // by all users, which also merges some of the top user's items.
+    val es = GraphStream.generate(Profile("t", 100, 600, 4000L), dupFactor = 1.25, seed = 9)
+    val df = GraphStream.toDF(spark, es).select(col("s"), col("d") % 500 as "d").cache()
     Oracle.assertEquivalent(
       ExactCardinality.perUser(df).select(col("s"), col("cardinality")),
       "SELECT s, count(DISTINCT d) AS cardinality FROM edges GROUP BY s",

@@ -1,9 +1,8 @@
 package repro.dist
 
 import org.scalatest.Assertions._
-import scala.collection.mutable
 
-import repro.core.FreeSlice
+import repro.core.{FreeSlice, UserCounters}
 
 /** Sequential reference for the Spark paths: P kernels run one after
   * another over the edges in arrival order t, each edge offered to its slice.
@@ -14,12 +13,11 @@ object SliceReference {
   def estimates(edges: Seq[SlicedFree.Edge])(newSlice: => FreeSlice): Map[Long, Double] = {
     val k = newSlice
     val kernels = k +: Array.fill(k.slices - 1)(newSlice)
-    val est = mutable.LongMap.empty[Double]
+    val est = new UserCounters
     edges.sortBy(_.t).foreach { e =>
-      val inc = kernels(FreeSlice.key(e.s, e.d, k.bigM, k.slices, k.seed)).offer(e.s, e.d)
-      est(e.s) = est.getOrElse(e.s, 0.0) + inc
+      est.add(e.s, kernels(FreeSlice.key(e.s, e.d, k.bigM, k.slices, k.seed)).offer(e.s, e.d))
     }
-    est.toMap
+    est.iterator.toMap
   }
 
   /** Asserts that every user's estimate in `got` is within `tol` of the reference. */

@@ -20,6 +20,8 @@ class HarnessSpec extends SparkSpec {
   test("run rejects ragged streams") {
     intercept[IllegalArgumentException](
       Harness.run(new FreeBS(64), new Array[Long](3), new Array[Long](4)))
+    intercept[IllegalArgumentException](
+      Harness.timed(new FreeBS(64), new Array[Long](4), new Array[Long](3), warmup = 0, measured = 4))
   }
 
   test("timed respects warmup/measured split") {
