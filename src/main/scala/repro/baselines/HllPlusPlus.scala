@@ -15,7 +15,7 @@ import scala.collection.mutable
 final class HllPlusPlus(val m: Int, val seed: Long = 53L) extends UserCardinalitySketch {
   require(m >= 2, s"HLL++ needs at least 2 registers per user, got $m")
 
-  val width = 6
+  val width: Int = HllPlusPlus.Width
 
   private val sketches = mutable.LongMap.empty[RegisterArray]
 
@@ -52,4 +52,10 @@ final class HllPlusPlus(val m: Int, val seed: Long = 53L) extends UserCardinalit
 
   /** Total memory across all allocated per-user sketches. */
   override def memoryBits: Long = sketches.size.toLong * m * width
+}
+
+object HllPlusPlus {
+
+  /** Register width of every per-user sketch: the paper's 6 bits. */
+  val Width = 6
 }

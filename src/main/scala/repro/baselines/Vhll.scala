@@ -17,12 +17,12 @@ import repro.core.{Hashing, RegisterArray, UserCardinalitySketch}
   * only the arriving user's counter, costing O(m); the global register sum
   * is maintained incrementally by [[RegisterArray]].
   */
-final class Vhll(val bigM: Int, val m: Int, val width: Int = 5, val seed: Long = 79L)
+final class Vhll(val bigM: Int, val m: Int, val seed: Long = 79L)
     extends UserCardinalitySketch {
   require(bigM > 0, s"vHLL needs a positive shared array size, got $bigM")
   require(m > 0 && m < bigM, s"vHLL virtual size m=$m must be in (0, $bigM)")
 
-  val registers = new RegisterArray(bigM, width)
+  val registers = new RegisterArray(bigM, RegisterArray.SharedWidth)
 
   override def name: String = "vHLL"
 

@@ -16,11 +16,11 @@ package repro.core
   * implement the pre-update (unbiased Horvitz–Thompson) form.
   *
   * @param m     number of shared registers (the paper's M)
-  * @param width register width in bits (the paper uses w = 5)
+  * @param width register width in bits (the paper's w = 5 by default)
   * @param seed  hash seed; runs are deterministic in it
   */
-final class FreeRS(val m: Int, val width: Int = 5, val seed: Long = 29L)
-    extends FreeSketch(new RegisterSlice(m, 1, width, seed)) {
+final class FreeRS(val m: Int, val width: Int = RegisterArray.SharedWidth,
+                   val seed: Long = 29L) extends FreeSketch(new RegisterSlice(m, 1, width, seed)) {
 
   /** The shared register array `R`. */
   def registers: RegisterArray = slice.registers

@@ -63,7 +63,7 @@ final class RegisterArray(val size: Int, val width: Int) {
   def zeros: Int = zeroRegs
 
   /** Recount of zero registers by scanning (O(size)); test cross-check of
-    * [[zeros]] and used by per-user sketches where size = m is small.
+    * [[zeros]].
     */
   def countZero: Int = {
     var z = 0
@@ -77,6 +77,9 @@ final class RegisterArray(val size: Int, val width: Int) {
 }
 
 object RegisterArray {
+
+  /** Width of the shared registers of FreeRS and vHLL: the paper's w = 5. */
+  val SharedWidth = 5
 
   /** Lookup table of 2^-k for k in [0, 63], shared by every register
     * estimator: the O(m) HLL scans of the baselines call it in their inner

@@ -3,7 +3,7 @@ package repro.dist
 import org.apache.spark.sql.{DataFrame, Dataset}
 import org.apache.spark.sql.functions._
 
-import repro.core.{BitSlice, FreeSlice, Hashing, RegisterSlice, UserCounters}
+import repro.core.{BitSlice, FreeSlice, Hashing, RegisterArray, RegisterSlice, UserCounters}
 
 /** Distributed batch FreeBS/FreeRS over a Spark dataflow (DESIGN.md §3).
   *
@@ -29,9 +29,9 @@ object SlicedFree {
     estimates(edges, bigM, slices, seed)(() => new BitSlice(bigM, slices, seed))
 
   /** Per-user estimates (columns s, estimate) via slice-partitioned FreeRS. */
-  def freeRS(edges: Dataset[Edge], bigM: Int, slices: Int, width: Int = 5,
-             seed: Long = 29L): DataFrame =
-    estimates(edges, bigM.toLong, slices, seed)(() => new RegisterSlice(bigM, slices, width, seed))
+  def freeRS(edges: Dataset[Edge], bigM: Int, slices: Int, seed: Long = 29L): DataFrame =
+    estimates(edges, bigM.toLong, slices, seed)(
+      () => new RegisterSlice(bigM, slices, RegisterArray.SharedWidth, seed))
 
   private def estimates(edges: Dataset[Edge], bigM: Long, slices: Int, seed: Long)(
       newSlice: () => FreeSlice): DataFrame = {

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 
-import repro.core.{BitSlice, FreeSlice, RegisterSlice}
+import repro.core.{BitSlice, FreeSlice, RegisterArray, RegisterSlice}
 
 /** Structured Streaming FreeBS/FreeRS (DESIGN.md §3 — the calibration
   * hint's "stateful aggregation (mapGroupsWithState) updating sketch arrays
@@ -35,9 +35,9 @@ object StreamingFree {
   /** Streaming per-user FreeRS estimates: a streaming DataFrame
     * (user, estimate) to be written with OutputMode.Complete.
     */
-  def freeRSEstimates(edges: Dataset[Edge], bigM: Int, slices: Int, width: Int = 5,
-                      seed: Long = 29L): DataFrame =
-    estimates(edges, bigM.toLong, slices, seed)(() => new RegisterSlice(bigM, slices, width, seed))
+  def freeRSEstimates(edges: Dataset[Edge], bigM: Int, slices: Int, seed: Long = 29L): DataFrame =
+    estimates(edges, bigM.toLong, slices, seed)(
+      () => new RegisterSlice(bigM, slices, RegisterArray.SharedWidth, seed))
 
   private def estimates(edges: Dataset[Edge], bigM: Long, slices: Int, seed: Long)(
       newSlice: () => FreeSlice): DataFrame = {

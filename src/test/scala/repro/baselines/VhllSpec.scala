@@ -78,7 +78,7 @@ class VhllSpec extends SparkSpec {
 
   test("deterministic per seed") {
     def run(seed: Long): Double = {
-      val sk = new Vhll(1 << 12, 64, 5, seed)
+      val sk = new Vhll(1 << 12, 64, seed)
       feed(sk, 1L, 300)
       sk.estimate(1L)
     }

@@ -100,7 +100,7 @@ class PropertySpec extends SparkSpec {
       val sketches = Seq(
         new FreeBS(512, 1L), new FreeRS(128, 5, 2L),
         new repro.baselines.Cse(2048, 32, 3L),
-        new repro.baselines.Vhll(512, 32, 5, 4L),
+        new repro.baselines.Vhll(512, 32, 4L),
         new repro.baselines.Lpc(64, 5L),
         new repro.baselines.HllPlusPlus(16, 6L))
       edges.foreach { case (s, d) => sketches.foreach(_.update(s, d)) }

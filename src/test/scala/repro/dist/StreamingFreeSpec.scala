@@ -98,7 +98,7 @@ class StreamingFreeSpec extends SparkSpec {
       Edge(0, 1, 10), Edge(1, 2, 20), Edge(2, 1, 11), Edge(3, 2, 20), // dup
       Edge(4, 3, 30), Edge(5, 1, 12))
     val got = runStream(edges.map(Seq(_)), "sseqr")(ds =>
-      StreamingFree.freeRSEstimates(ds, 64, 1, 5, 29L))
+      StreamingFree.freeRSEstimates(ds, 64, 1, 29L))
     val seq = new FreeRS(64, 5, 29L)
     edges.foreach(e => seq.update(e.s, e.d))
     Seq(1L, 2L, 3L).foreach { u =>

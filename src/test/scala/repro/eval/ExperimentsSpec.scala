@@ -71,6 +71,16 @@ class ExperimentsSpec extends SparkSpec {
     assert(s.contains("FreeBS"))
   }
 
+  test("tableIIFor marks CSE N/A when its range m·ln m is below the threshold Δ·n") {
+    val ds = Experiments.dataset(Profile.chicago, sigma = sigmaTiny)
+    val delta = 5e-3
+    assert(4 * math.log(4.0) < delta * ds.stream.totalCardinality)
+    val rows = Experiments.tableIIFor(ds, mBits = 50_000L, m = 4, delta = delta)
+    val byMethod = rows.map(r => r.method -> r).toMap
+    assert(byMethod("CSE").na)
+    assert(!byMethod("FreeBS").na && !byMethod("FreeRS").na)
+  }
+
   test("runtimeTable produces positive timings for all six methods") {
     val rows = Experiments.runtimeTable(ms = Seq(16), profile = Profile.flickr,
       sigma = 0.0005, mBits = 50_000L)
@@ -101,5 +111,36 @@ class ExperimentsSpec extends SparkSpec {
     val sw = Experiments.mSweep(ms = Seq(16), profile = Profile.flickr,
       sigma = 0.0005, mBits = 50_000L)
     assert(Experiments.renderSweep(sw).contains("CSE"))
+  }
+
+  test("renderRuntime prints the exact grid") {
+    val rows = Seq(
+      Experiments.RuntimeRow("FreeBS", 16, 54.83), Experiments.RuntimeRow("FreeBS", 64, 43.5),
+      Experiments.RuntimeRow("CSE", 16, 398.25), Experiments.RuntimeRow("CSE", 64, 1034.9))
+    assert(Experiments.renderRuntime(rows) ==
+      "ns/update  m=16     m=64    \n" +
+      "FreeBS     54.8     43.5    \n" +
+      "CSE        398.3    1034.9  \n")
+  }
+
+  test("renderAccuracy prints the exact grid, blank where a bucket is empty") {
+    val rows = Seq(
+      Experiments.AccuracyRow("FreeBS", 32, 45.0, 0.0634, 10),
+      Experiments.AccuracyRow("FreeBS", 64, 90.0, 0.06, 5),
+      Experiments.AccuracyRow("LPC", 32, 45.0, 0.059, 10))
+    assert(Experiments.renderAccuracy(rows) ==
+      "RSE        n~32       n~64      \n" +
+      "FreeBS     0.063      0.060     \n" +
+      "LPC        0.059                \n")
+  }
+
+  test("renderSweep prints the exact table with the cut it used") {
+    val rows = Seq(
+      Experiments.SweepRow("vHLL", 64, 63, 0.508), Experiments.SweepRow("CSE", 16, 63, 0.307),
+      Experiments.SweepRow("vHLL", 16, 63, 0.424), Experiments.SweepRow("CSE", 64, 63, 0.158))
+    assert(Experiments.renderSweep(rows) ==
+      "RSE of small users (n <= 63), by virtual sketch size m:\n" +
+      "CSE    m=16   0.307   m=64   0.158\n" +
+      "vHLL   m=16   0.424   m=64   0.508\n")
   }
 }
