@@ -1,11 +1,13 @@
 package repro.dist
 
-import org.apache.spark.sql.{DataFrame, Dataset}
+import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders}
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 
-import repro.core.{BitSlice, FreeSlice, Hashing, RegisterArray, RegisterSlice, UserCounters}
+import repro.core.{BitSlice, FreeSlice, RegisterArray, RegisterSlice, UserCounters}
 
-/** Distributed batch FreeBS/FreeRS over a Spark dataflow (DESIGN.md §3).
+/** Distributed FreeBS/FreeRS over one Spark dataflow, batch or streaming
+  * (DESIGN.md §3).
   *
   * The shared array of M positions is partitioned into P disjoint slices of
   * size M/P; pair e goes to slice `h*(e) mod P` at local position
@@ -13,8 +15,17 @@ import repro.core.{BitSlice, FreeSlice, Hashing, RegisterArray, RegisterSlice, U
   * the sub-stream of pairs hashed into it (the hash shards pairs uniformly),
   * so its Horvitz–Thompson estimate of "distinct pairs of user s landing in
   * this slice" is unbiased, and summing slice estimates over P recovers an
-  * unbiased estimate of n_s. The final array state (OR of bits / max of
-  * registers) is identical to the sequential run.
+  * unbiased estimate of n_s. Slice k's position i is position i·P + k of
+  * the sequential array, so the slices together hold the sequential run's
+  * final array state.
+  *
+  * Each slice's [[FreeSlice]] kernel is the Spark group state of its slice
+  * key. On a batch Dataset every slice starts from a fresh kernel and sees
+  * all its edges at once; on a streaming Dataset the kernel carries over
+  * from one micro-batch to the next, so duplicates across micro-batches are
+  * absorbed and the estimates are live at every trigger, as the paper's
+  * "anytime" requirement demands. Write a streaming result with
+  * OutputMode.Complete.
   */
 object SlicedFree {
 
@@ -35,34 +46,23 @@ object SlicedFree {
 
   private def estimates(edges: Dataset[Edge], bigM: Long, slices: Int, seed: Long)(
       newSlice: () => FreeSlice): DataFrame = {
-    FreeSlice.sliceSize(bigM, slices) // fail at call time, before any job runs
+    FreeSlice.sliceSize(bigM, slices) // fail at call time, before any job or query runs
     val spark = edges.sparkSession
     import spark.implicits._
+    implicit val sliceState: Encoder[FreeSlice] = Encoders.kryo[FreeSlice]
     edges
       .groupByKey(e => FreeSlice.key(e.s, e.d, bigM, slices, seed))
-      .flatMapGroups((_: Int, it: Iterator[Edge]) => offerAll(newSlice(), it).iterator)
+      .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout) {
+        (_: Int, batch: Iterator[Edge], state: GroupState[FreeSlice]) =>
+          val slice = state.getOption.getOrElse(newSlice())
+          // Arrival order t, whatever the partitioning: the estimates are deterministic.
+          val deltas = new UserCounters
+          batch.toArray.sortBy(_.t).foreach(e => deltas.add(e.s, slice.offer(e.s, e.d)))
+          state.update(slice)
+          deltas.iterator
+      }
       .toDF("s", "delta")
       .groupBy("s")
       .agg(sum("delta") as "estimate")
-  }
-
-  /** The slice-local pass of every Spark path: offer a slice's edges to its
-    * kernel in arrival order t (deterministic, whatever the partitioning)
-    * and sum the Horvitz–Thompson increments per user.
-    */
-  private[dist] def offerAll(slice: FreeSlice, edges: Iterator[Edge]): UserCounters = {
-    val est = new UserCounters
-    edges.toArray.sortBy(_.t).foreach(e => est.add(e.s, slice.offer(e.s, e.d)))
-    est
-  }
-
-  /** Final global bit positions that any FreeBS execution (sequential or
-    * sliced) sets for this edge set — order-independent; used by tests to
-    * prove state equivalence across execution strategies.
-    */
-  def globalBitPositions(edges: Dataset[Edge], bigM: Long, seed: Long = 17L): Array[Long] = {
-    val spark = edges.sparkSession
-    import spark.implicits._
-    edges.map(e => Hashing.pairIndex(e.s, e.d, bigM, seed)).distinct().collect().sorted
   }
 }

@@ -71,13 +71,23 @@ class SlicedFreeSpec extends SparkSpec {
 
   test("final bit-array state is identical to the sequential run") {
     val (es, rows) = edgesOf(11L)
-    import spark.implicits._
-    val ds = spark.createDataset(rows)
-    val positions = SlicedFree.globalBitPositions(ds, bigM = 4096L, seed = 17L)
-    val seq = new FreeBS(4096L, 17L)
-    (0 until es.length).foreach(i => seq.update(es.users(i), es.items(i)))
-    assert(positions.length == seq.bits.ones, "flipped-bit count differs")
-    positions.foreach(p => assert(seq.bits.get(p), s"bit $p not set sequentially"))
+    val (bs, rs) = (new FreeBS(4096L, 17L), new FreeRS(1024, 5, 29L))
+    (0 until es.length).foreach { i =>
+      bs.update(es.users(i), es.items(i)); rs.update(es.users(i), es.items(i))
+    }
+    val seqBits = (0L until 4096L).filter(bs.bits.get)
+    // Slice k's local position i is the sequential array's position i·P + k.
+    for (p <- Seq(1, 8)) {
+      val (bitSlices, _) = SliceReference.run(rows)(new BitSlice(4096L, p, 17L))
+      val sliceBits = (for ((k, slice) <- bitSlices.zipWithIndex; i <- 0L until k.size if k.bits.get(i))
+        yield i * p + slice).sorted
+      val same = sliceBits == seqBits
+      assert(same, s"P=$p: ${sliceBits.size} set bits, ${seqBits.size} sequentially, " +
+        s"${sliceBits.diff(seqBits).size} elsewhere")
+      val (regSlices, _) = SliceReference.run(rows)(new RegisterSlice(1024, p, 5, 29L))
+      for ((k, slice) <- regSlices.zipWithIndex; i <- 0 until k.size.toInt)
+        assert(k.registers.get(i) == rs.registers.get(i * p + slice), s"P=$p register ${i * p + slice}")
+    }
   }
 
   test("slice count must divide the array size") {
