@@ -17,7 +17,7 @@ final class HllPlusPlus(val m: Int, val seed: Long = 53L) extends UserCardinalit
 
   val width: Int = HllPlusPlus.Width
 
-  private val sketches = mutable.LongMap.empty[RegisterArray]
+  private val sketches = mutable.HashMap.empty[Long, RegisterArray]
 
   override def name: String = "HLL++"
 

@@ -16,7 +16,7 @@ import scala.collection.mutable
 final class Lpc(val m: Int, val seed: Long = 41L) extends UserCardinalitySketch {
   require(m > 0, s"LPC needs a positive per-user sketch size, got $m")
 
-  private val sketches = mutable.LongMap.empty[BitArray]
+  private val sketches = mutable.HashMap.empty[Long, BitArray]
 
   override def name: String = "LPC"
 

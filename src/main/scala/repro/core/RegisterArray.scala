@@ -12,7 +12,11 @@ import RegisterArray.pow2Neg
   * Register values saturate at `maxValue = 2^width - 1` (e.g. 31 for the
   * paper's 5-bit registers). For width ≤ 5 and size ≤ 2^21 the incremental
   * sum is *exact* in a Double: every term is a multiple of 2^-31 and the
-  * total is ≤ size, which fits in the 53-bit mantissa.
+  * total is ≤ size, which fits in the 53-bit mantissa. Above 2^21 registers
+  * it is not exact: at the paper's scale (10⁸ registers, as perfbench's
+  * `anytime-paper-scale` runs FreeRS) ulp(sum) is 2^-26 while terms move
+  * in steps of 2^-31, so the sum rounds on updates. ROADMAP item 3 holds
+  * the exact `Long` sum.
   */
 final class RegisterArray(val size: Int, val width: Int) {
   require(size > 0, s"register array size must be positive, got $size")
