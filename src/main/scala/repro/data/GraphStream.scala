@@ -1,7 +1,6 @@
 package repro.data
 
 import java.util.SplittableRandom
-import org.apache.spark.sql.{DataFrame, SparkSession}
 
 /** Target shape of a dataset: the three statistics the paper's Table I
   * reports. `users`, `maxCard`, `totalCard` are the targets the generator
@@ -11,7 +10,7 @@ final case class Profile(name: String, users: Int, maxCard: Int, totalCard: Long
   require(users > 0 && maxCard > 0 && totalCard >= users,
     s"inconsistent profile $name: users=$users maxCard=$maxCard totalCard=$totalCard")
 
-  /** Scale every count by `sigma` (cardinalities ≥ 1, users ≥ 1).
+  /** Scale every count by `sigma` > 0 (cardinalities ≥ 1, users ≥ 1).
     *
     * The mean cardinality totalCard/users is scale-invariant, but maxCard
     * shrinks with sigma — below some sigma no distribution can reach the
@@ -20,6 +19,8 @@ final case class Profile(name: String, users: Int, maxCard: Int, totalCard: Long
     * tailed); at the default 1/100 scale no paper profile hits the floor.
     */
   def scaled(sigma: Double): Profile = {
+    require(sigma > 0 && sigma < Double.PositiveInfinity,
+      s"sigma must be positive and finite, got $sigma")
     val u = math.max(1, math.round(users * sigma).toInt)
     val t = math.max(u.toLong, math.round(totalCard * sigma))
     val minMax = math.min(t, math.ceil(2.0 * t / u).toLong).toInt
@@ -158,14 +159,5 @@ object GraphStream {
       i -= 1
     }
     EdgeStream(us, is, truth)
-  }
-
-  /** The stream as a DataFrame (t, s, d) with t the arrival index — the
-    * input format of the Spark dataflow layer.
-    */
-  def toDF(spark: SparkSession, es: EdgeStream): DataFrame = {
-    import spark.implicits._
-    val rows = Array.tabulate(es.length)(i => (i.toLong, es.users(i), es.items(i)))
-    spark.createDataset(rows.toIndexedSeq).toDF("t", "s", "d")
   }
 }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.SparkSpec
-import repro.theory.Theory
+import repro.theory.ExactTheory
 
 class LpcSpec extends SparkSpec {
 
@@ -29,7 +29,7 @@ class LpcSpec extends SparkSpec {
       sk.estimate(1L)
     }
     val mean = ests.sum / ests.size
-    val predictedBias = Theory.lpcBias(n, m)
+    val predictedBias = ExactTheory.lpcBias(n, m)
     assert(mean - n > 0, s"expected positive bias, mean $mean")
     // The paper's formula is a second-order Taylor approximation; at this
     // load higher-order terms roughly double it, so check the scale only.

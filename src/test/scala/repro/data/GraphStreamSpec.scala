@@ -1,6 +1,7 @@
 package repro.data
 
-import repro.SparkSpec
+import org.apache.spark.sql.DataFrame
+import repro.{Oracle, SparkSpec}
 
 class GraphStreamSpec extends SparkSpec {
 
@@ -109,14 +110,6 @@ class GraphStreamSpec extends SparkSpec {
     intercept[IllegalArgumentException](GraphStream.generate(tiny, dupFactor = 0.5))
   }
 
-  test("toDF round-trips counts and schema") {
-    val es = GraphStream.generate(Profile("t", 20, 15, 80L), dupFactor = 1.2, seed = 15)
-    val df = GraphStream.toDF(spark, es)
-    assert(df.columns.toSeq == Seq("t", "s", "d"))
-    assert(df.count() == es.length)
-    assert(df.select("s").distinct().count() == 20)
-  }
-
   test("EdgeStream summary statistics") {
     val es = GraphStream.generate(Profile("t", 10, 8, 30L), seed = 17)
     assert(es.userCount == 10)
@@ -127,5 +120,35 @@ class GraphStreamSpec extends SparkSpec {
   test("profile validation rejects inconsistent targets") {
     intercept[IllegalArgumentException](Profile("bad", 10, 5, 5L)) // total < users
     intercept[IllegalArgumentException](Profile("bad", 0, 5, 10L))
+    Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity).foreach { sigma =>
+      intercept[IllegalArgumentException](Profile.chicago.scaled(sigma))
+    }
+  }
+
+  /** The stream's (s, d) edges, duplicates included, as a DataFrame. */
+  private def edges(es: EdgeStream): DataFrame = {
+    import spark.implicits._
+    es.users.zip(es.items).toSeq.toDF("s", "d")
+  }
+
+  test("truth is oracle-equivalent to DuckDB's per-user count(DISTINCT d)") {
+    import spark.implicits._
+    for (es <- Seq(GraphStream.generate(Profile("t", 40, 20, 160L), dupFactor = 1.4, seed = 5),
+                   GraphStream.generate(Profile("t", 100, 600, 4000L), dupFactor = 1.25, seed = 9))) {
+      Oracle.assertEquivalent(
+        es.truth.indices.map(u => (u.toLong, es.truth(u).toLong)).toDF("s", "cardinality"),
+        "SELECT s, count(DISTINCT d) AS cardinality FROM edges GROUP BY s",
+        "edges" -> edges(es))
+    }
+  }
+
+  test("totalCardinality is oracle-equivalent to DuckDB's count(DISTINCT (s, d))") {
+    import spark.implicits._
+    val es = GraphStream.generate(Profile("t", 25, 12, 75L), dupFactor = 1.6, seed = 11)
+    assert(es.length > es.totalCardinality) // duplicates present: edges ≠ distinct pairs
+    Oracle.assertEquivalent(
+      Seq(es.totalCardinality).toDF("n"),
+      "SELECT count(DISTINCT (s, d)) AS n FROM edges",
+      "edges" -> edges(es))
   }
 }

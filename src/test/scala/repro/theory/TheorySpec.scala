@@ -1,27 +1,28 @@
 package repro.theory
 
 import repro.SparkSpec
+import repro.core.BitSlice
 
 class TheorySpec extends SparkSpec {
 
   test("Stirling numbers of the second kind: known values") {
-    assert(Theory.stirling2(0, 0) == 1.0)
-    assert(Theory.stirling2(4, 2) == 7.0)
-    assert(Theory.stirling2(5, 3) == 25.0)
-    assert(Theory.stirling2(6, 3) == 90.0)
+    assert(ExactTheory.stirling2(0, 0) == 1.0)
+    assert(ExactTheory.stirling2(4, 2) == 7.0)
+    assert(ExactTheory.stirling2(5, 3) == 25.0)
+    assert(ExactTheory.stirling2(6, 3) == 90.0)
     (1 to 8).foreach { n =>
-      assert(Theory.stirling2(n, 1) == 1.0)
-      assert(Theory.stirling2(n, n) == 1.0)
+      assert(ExactTheory.stirling2(n, 1) == 1.0)
+      assert(ExactTheory.stirling2(n, n) == 1.0)
     }
-    assert(Theory.stirling2(3, 5) == 0.0)
+    assert(ExactTheory.stirling2(3, 5) == 0.0)
   }
 
   test("binomial coefficients: known values") {
-    assert(Theory.binomial(5, 2) == 10.0)
-    assert(Theory.binomial(10, 0) == 1.0)
-    assert(Theory.binomial(10, 10) == 1.0)
-    assert(Theory.binomial(10, 11) == 0.0)
-    assert(Theory.binomial(52, 5) == 2598960.0)
+    assert(ExactTheory.binomial(5, 2) == 10.0)
+    assert(ExactTheory.binomial(10, 0) == 1.0)
+    assert(ExactTheory.binomial(10, 10) == 1.0)
+    assert(ExactTheory.binomial(10, 11) == 0.0)
+    assert(ExactTheory.binomial(52, 5) == 2598960.0)
   }
 
   test("occupancy recurrence agrees with the closed Stirling-number form") {
@@ -30,59 +31,55 @@ class TheorySpec extends SparkSpec {
       // C(M,j)·j! is the falling factorial M·(M−1)···(M−j+1).
       var fall = 1.0
       (0 until j).foreach(i => fall *= (bigM - i))
-      val closed = fall * Theory.stirling2(n, j) / math.pow(bigM, n)
-      val dp = Theory.probOnes(bigM, n, j)
+      val closed = fall * ExactTheory.stirling2(n, j) / math.pow(bigM, n)
+      val dp = ExactTheory.probOnes(bigM, n, j)
       assert(math.abs(dp - closed) < 1e-12, s"M=$bigM n=$n j=$j dp=$dp closed=$closed")
     }
   }
 
   test("occupancy at extreme loads stays a distribution") {
-    val p = Theory.occupancy(64, 1000) // load ~15.6: essentially all ones
+    val p = ExactTheory.occupancy(64, 1000) // load ~15.6: essentially all ones
     assert(math.abs(p.sum - 1.0) < 1e-9)
     assert(p.last > 0.99) // P(all 64 bins hit) ~ 1
   }
 
   test("occupancy distribution sums to 1") {
     for ((bigM, n) <- Seq((8, 5), (16, 10), (32, 20))) {
-      val total = (0 to n).map(j => Theory.probOnes(bigM, n, j)).sum
+      val total = (0 to n).map(j => ExactTheory.probOnes(bigM, n, j)).sum
       assert(math.abs(total - 1.0) < 1e-9, s"Σ probOnes($bigM,$n) = $total")
     }
   }
 
+  /** A fresh FreeBS kernel after n distinct pairs, hashed with `seed`. */
+  private def filled(bigM: Int, n: Int, seed: Long): BitSlice = {
+    val slice = new BitSlice(bigM.toLong, 1, seed)
+    (0 until n).foreach(d => slice.offer(1L, d.toLong))
+    slice
+  }
+
   test("occupancy distribution matches Monte Carlo (M=8, n=5)") {
     val bigM = 8; val n = 5; val trials = 200000
-    val rng = new java.util.SplittableRandom(42)
     val hist = new Array[Int](bigM + 1)
-    (0 until trials).foreach { _ =>
-      var mask = 0
-      (0 until n).foreach(_ => mask |= 1 << rng.nextInt(bigM))
-      hist(Integer.bitCount(mask)) += 1
-    }
+    (0 until trials).foreach(trial => hist(filled(bigM, n, trial.toLong).bits.ones.toInt) += 1)
     (1 to 5).foreach { j =>
       val emp = hist(j).toDouble / trials
-      val theo = Theory.probOnes(bigM, n, j)
+      val theo = ExactTheory.probOnes(bigM, n, j)
       assert(math.abs(emp - theo) < 0.01, s"j=$j emp=$emp theo=$theo")
     }
   }
 
   test("exact E[1/q_B] matches Monte Carlo (M=32, n=10)") {
     val bigM = 32; val n = 10; val trials = 100000
-    val rng = new java.util.SplittableRandom(7)
     var acc = 0.0
-    (0 until trials).foreach { _ =>
-      var mask = 0L
-      (0 until n).foreach(_ => mask |= 1L << rng.nextInt(bigM))
-      val zeros = bigM - java.lang.Long.bitCount(mask)
-      acc += bigM.toDouble / zeros
-    }
+    (0 until trials).foreach(trial => acc += 1.0 / filled(bigM, n, trial.toLong).q)
     val mc = acc / trials
-    val exact = Theory.expInvQBExact(bigM, n)
+    val exact = ExactTheory.expInvQBExact(bigM, n)
     assert(math.abs(mc - exact) < 0.02, s"MC $mc vs exact $exact")
   }
 
   test("the paper's Taylor approximation of E[1/q_B] is close to exact") {
     for ((bigM, n) <- Seq((256, 50), (256, 128), (128, 64))) {
-      val exact = Theory.expInvQBExact(bigM, n)
+      val exact = ExactTheory.expInvQBExact(bigM, n)
       val approx = Theory.expInvQBApprox(bigM.toDouble, n.toDouble)
       assert(math.abs(exact - approx) / exact < 0.02,
         s"M=$bigM n=$n exact=$exact approx=$approx")
@@ -107,15 +104,15 @@ class TheorySpec extends SparkSpec {
   }
 
   test("LPC bias and variance are positive and grow with load") {
-    assert(Theory.lpcBias(100, 1024) > 0)
-    assert(Theory.lpcVar(100, 1024) > 0)
-    assert(Theory.lpcBias(500, 1024) > Theory.lpcBias(100, 1024))
-    assert(Theory.lpcVar(500, 1024) > Theory.lpcVar(100, 1024))
+    assert(ExactTheory.lpcBias(100, 1024) > 0)
+    assert(ExactTheory.lpcVar(100, 1024) > 0)
+    assert(ExactTheory.lpcBias(500, 1024) > ExactTheory.lpcBias(100, 1024))
+    assert(ExactTheory.lpcVar(500, 1024) > ExactTheory.lpcVar(100, 1024))
   }
 
   test("vHLL variance formula is positive and decreasing in memory") {
-    val v1 = Theory.vhllVar(1000, 100000, 1024, 1 << 17)
-    val v2 = Theory.vhllVar(1000, 100000, 1024, 1 << 20)
+    val v1 = ExactTheory.vhllVar(1000, 100000, 1024, 1 << 17)
+    val v2 = ExactTheory.vhllVar(1000, 100000, 1024, 1 << 20)
     assert(v1 > 0 && v2 > 0 && v2 < v1)
   }
 
@@ -125,6 +122,6 @@ class TheorySpec extends SparkSpec {
   }
 
   test("exact E[1/q_B] rejects n ≥ M") {
-    intercept[IllegalArgumentException](Theory.expInvQBExact(8, 8))
+    intercept[IllegalArgumentException](ExactTheory.expInvQBExact(8, 8))
   }
 }
