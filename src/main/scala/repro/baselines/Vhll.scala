@@ -20,7 +20,7 @@ import repro.core.{Hashing, RegisterArray, UserCardinalitySketch}
 final class Vhll(val bigM: Int, val m: Int, val seed: Long = 79L)
     extends UserCardinalitySketch {
   require(bigM > 0, s"vHLL needs a positive shared array size, got $bigM")
-  require(m > 0 && m < bigM, s"vHLL virtual size m=$m must be in (0, $bigM)")
+  require(m >= 2 && m < bigM, s"vHLL virtual size m=$m must be in [2, $bigM)")
 
   val registers = new RegisterArray(bigM, RegisterArray.SharedWidth)
 

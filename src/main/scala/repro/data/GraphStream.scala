@@ -87,7 +87,7 @@ object GraphStream {
       var sum = 0L
       var u = 1
       while (u <= users) {
-        sum += math.max(1L, math.round(maxCard * math.pow(u.toDouble, -theta)))
+        sum += card(maxCard, u, theta)
         u += 1
       }
       sum
@@ -108,10 +108,12 @@ object GraphStream {
   /** Per-user cardinalities for a profile (user 0 gets maxCard). */
   def cardinalities(p: Profile): Array[Int] = {
     val theta = fitTheta(p.users, p.maxCard, p.totalCard)
-    Array.tabulate(p.users) { u =>
-      math.max(1, math.round(p.maxCard * math.pow((u + 1).toDouble, -theta)).toInt)
-    }
+    Array.tabulate(p.users)(u => card(p.maxCard, u + 1, theta).toInt)
   }
+
+  /** The power-law term max(1, round(maxCard·u^-θ)) of user rank u ≥ 1. */
+  private def card(maxCard: Int, u: Int, theta: Double): Long =
+    math.max(1L, math.round(maxCard * math.pow(u.toDouble, -theta)))
 
   /** Generate the full stream for a profile.
     *

@@ -6,9 +6,8 @@ import repro.data.{EdgeStream, GraphStream, Profile}
 
 /** Shared runners for the paper's evaluation artifacts (DESIGN.md §6), and
   * the one place their set-up lives: budget, virtual size, Δ, register
-  * widths, duplicate factor and seeds. Both the `jobs/` spark-submit
-  * entrypoints and the `bench/` suites call these, so `sbt bench/test` and
-  * the jobs print the same rows.
+  * widths, duplicate factor and seeds. The `bench/` suites print each
+  * artifact from these calls and assert its shape (`sbt bench/test`).
   *
   * Scaling (DESIGN.md §4): datasets and the shared memory M are both scaled
   * by `sigma` = 1/100 from the paper's setup (M = 5·10⁸ bits → 5·10⁶ bits),
@@ -122,9 +121,8 @@ object Experiments {
     }
   }
 
-  def tableII(sigma: Double = DefaultSigma, mBits: Long = DefaultMBits,
-              m: Int = DefaultVirtualM): Seq[TableIIRow] =
-    Profile.all.flatMap(p => tableIIFor(dataset(p, sigma), mBits, m))
+  /** Table II: the five methods on every replica at the default set-up. */
+  def tableII(): Seq[TableIIRow] = Profile.all.flatMap(p => tableIIFor(dataset(p)))
 
   def renderTableII(rows: Seq[TableIIRow]): String = {
     val methods = rows.map(_.method).distinct

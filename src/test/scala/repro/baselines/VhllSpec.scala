@@ -73,6 +73,7 @@ class VhllSpec extends SparkSpec {
 
   test("rejects invalid m") {
     intercept[IllegalArgumentException](new Vhll(1024, 0))
+    intercept[IllegalArgumentException](new Vhll(1024, 1))
     intercept[IllegalArgumentException](new Vhll(1024, 1024))
   }
 

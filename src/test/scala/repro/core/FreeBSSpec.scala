@@ -146,4 +146,12 @@ class FreeBSSpec extends SparkSpec {
     assert(math.abs(m1 - n1) < 12, s"user1 mean $m1")
     assert(math.abs(m2 - n2) < 12, s"user2 mean $m2")
   }
+
+  test("anytime unbiased: mean over 40 seeds tracks the exact prefix counts at 25/50/75/100 %") {
+    val bigM = 4096L
+    val misses = Anytime.misses(new FreeBS(bigM, _)) { (ns, n) =>
+      math.sqrt(Theory.freeBsVarBound(ns, n, bigM.toDouble))
+    }
+    assert(misses.isEmpty, misses.mkString("\n"))
+  }
 }

@@ -1,6 +1,7 @@
 package repro.core
 
 import repro.SparkSpec
+import repro.theory.Theory
 
 class FreeRSSpec extends SparkSpec {
 
@@ -131,5 +132,16 @@ class FreeRSSpec extends SparkSpec {
     feed(sk, 1L, 200000)
     val est = sk.estimate(1L)
     assert(math.abs(est - 200000) < 40000, s"estimate $est vs truth 200000")
+  }
+
+  test("anytime unbiased: mean over 40 seeds tracks the exact prefix counts at 25/50/75/100 %") {
+    val m = 1024
+    val misses = Anytime.misses(new FreeRS(m, 5, _)) { (ns, n) =>
+      // Theorem 2 holds for n > 2.5·M. Below that, q_R ≥ q_B on the same M,
+      // so Theorem 1's bound applies.
+      math.sqrt(if (n > 2.5 * m) Theory.freeRsVarBound(ns, n, m.toDouble)
+                else Theory.freeBsVarBound(ns, n, m.toDouble))
+    }
+    assert(misses.isEmpty, misses.mkString("\n"))
   }
 }
