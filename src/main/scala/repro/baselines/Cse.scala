@@ -19,7 +19,7 @@ import repro.core.{BitArray, Hashing, UserCardinalitySketch}
 final class Cse(val bigM: Long, val m: Int, val seed: Long = 67L)
     extends UserCardinalitySketch {
   require(bigM > 0, s"CSE needs a positive shared array size, got $bigM")
-  require(m > 0 && m <= bigM, s"CSE virtual size m=$m must be in (0, $bigM]")
+  require(m >= 2 && m <= bigM, s"CSE virtual size m=$m must be in [2, $bigM]")
 
   val array = new BitArray(bigM)
 

@@ -10,6 +10,12 @@ package repro.baselines
   */
 object Hll {
 
+  /** Lookup table of 2^-k for k in [0, 63]: the O(m) register scans of
+    * HLL++ and vHLL read it in their inner loop, where `math.pow` would
+    * dominate runtime.
+    */
+  val pow2Neg: Array[Double] = Array.tabulate(64)(k => math.pow(2.0, -k))
+
   /** Bias-correction constant α_m. */
   def alpha(m: Int): Double = {
     require(m >= 2, s"HLL needs at least 2 registers, got $m")

@@ -1,6 +1,6 @@
 package repro.baselines
 
-import repro.core.{Hashing, RegisterArray, UserCardinalitySketch}
+import repro.core.{Hashing, UserCardinalitySketch}
 import scala.collection.mutable
 
 /** HLL++ — per-user HyperLogLog with 6-bit registers (Heule et al.), as
@@ -17,30 +17,26 @@ final class HllPlusPlus(val m: Int, val seed: Long = 53L) extends UserCardinalit
 
   val width: Int = HllPlusPlus.Width
 
-  private val sketches = mutable.HashMap.empty[Long, RegisterArray]
+  private val sketches = mutable.HashMap.empty[Long, Array[Byte]]
 
   override def name: String = "HLL++"
 
-  private def sketchOf(s: Long): RegisterArray =
-    sketches.getOrElseUpdate(s, new RegisterArray(m, width))
-
   override def update(s: Long, d: Long): Unit = {
-    val regs = sketchOf(s)
+    val regs = sketches.getOrElseUpdate(s, new Array[Byte](m))
     val pos = Hashing.itemIndex(d, m.toLong, seed).toInt
-    val r = Hashing.rank(d, regs.maxValue, seed)
-    regs.update(pos, r)
+    val r = Hashing.rank(d, 63, seed) // capped at 2^Width − 1
+    if (r > regs(pos)) regs(pos) = r.toByte
     counters.put(s, estimateFrom(regs))
   }
 
-  // O(m) register enumeration per estimate, the cost model of §V-D (the
-  // incremental sums exist on RegisterArray, but the paper's baselines scan).
-  private def estimateFrom(regs: RegisterArray): Double = {
+  // O(m) register enumeration per estimate, the cost model of §V-D.
+  private def estimateFrom(regs: Array[Byte]): Double = {
     var sum = 0.0
     var zeros = 0
     var i = 0
     while (i < m) {
-      val r = regs.get(i)
-      sum += RegisterArray.pow2Neg(r)
+      val r = regs(i)
+      sum += Hll.pow2Neg(r)
       if (r == 0) zeros += 1
       i += 1
     }

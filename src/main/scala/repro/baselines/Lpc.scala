@@ -14,7 +14,7 @@ import scala.collection.mutable
   * to LPC (§V-D measures exactly this enumeration).
   */
 final class Lpc(val m: Int, val seed: Long = 41L) extends UserCardinalitySketch {
-  require(m > 0, s"LPC needs a positive per-user sketch size, got $m")
+  require(m >= 2, s"LPC needs at least 2 bits per user, got $m")
 
   private val sketches = mutable.HashMap.empty[Long, BitArray]
 

@@ -41,7 +41,7 @@ final class Vhll(val bigM: Int, val m: Int, val seed: Long = 79L)
     var i = 0
     while (i < m) {
       val r = registers.get(Hashing.userSelect(s, i, bigM.toLong, seed).toInt)
-      sumUser += RegisterArray.pow2Neg(r)
+      sumUser += Hll.pow2Neg(r)
       if (r == 0) zerosUser += 1
       i += 1
     }

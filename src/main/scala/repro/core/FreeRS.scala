@@ -16,7 +16,7 @@ package repro.core
   * implement the pre-update (unbiased Horvitz–Thompson) form.
   *
   * @param m     number of shared registers (the paper's M)
-  * @param width register width in bits (the paper's w = 5 by default)
+  * @param width register width in bits, at most 5 (the paper's w = 5 by default)
   * @param seed  hash seed; runs are deterministic in it
   */
 final class FreeRS(val m: Int, val width: Int = RegisterArray.SharedWidth,

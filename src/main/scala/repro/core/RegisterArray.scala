@@ -1,7 +1,5 @@
 package repro.core
 
-import RegisterArray.pow2Neg
-
 /** A mutable array of `size` registers of `width` bits each, with the
   * running sum `Σ_j 2^{-R[j]}` maintained incrementally.
   *
@@ -10,22 +8,19 @@ import RegisterArray.pow2Neg
   * `q_R = sumPow2Neg / size` in O(1) at every step.
   *
   * Register values saturate at `maxValue = 2^width - 1` (e.g. 31 for the
-  * paper's 5-bit registers). For width ≤ 5 and size ≤ 2^21 the incremental
-  * sum is *exact* in a Double: every term is a multiple of 2^-31 and the
-  * total is ≤ size, which fits in the 53-bit mantissa. Above 2^21 registers
-  * it is not exact: at the paper's scale (10⁸ registers, as perfbench's
-  * `anytime-paper-scale` runs FreeRS) ulp(sum) is 2^-26 while terms move
-  * in steps of 2^-31, so the sum rounds on updates. ROADMAP item 3 holds
-  * the exact `Long` sum.
+  * paper's 5-bit registers). The sum is kept exactly, as the integer
+  * `Σ_j 2^{31-R[j]}` in a `Long`: width ≤ 5 keeps every exponent
+  * non-negative, and the sum is at most size·2^31 < 2^63 for every `Int`
+  * size, so it never rounds, at the paper's 10⁸ registers included.
   */
 final class RegisterArray(val size: Int, val width: Int) {
   require(size > 0, s"register array size must be positive, got $size")
-  require(width >= 1 && width <= 6, s"register width must be in [1,6], got $width")
+  require(width >= 1 && width <= 5, s"register width must be in [1,5], got $width")
 
   val maxValue: Int = (1 << width) - 1
 
   private val regs = new Array[Byte](size)
-  private var sumPow: Double = size.toDouble // all registers zero: Σ 2^0 = size
+  private var sum: Long = size.toLong << 31 // all registers zero: Σ 2^31 = size·2^31
   private var zeroRegs: Int = size
 
   /** Current value of register `i`. */
@@ -41,7 +36,7 @@ final class RegisterArray(val size: Int, val width: Int) {
     val clamped = math.min(r, maxValue)
     val old = regs(i).toInt
     if (clamped > old) {
-      sumPow += pow2Neg(clamped) - pow2Neg(old)
+      sum += (1L << (31 - clamped)) - (1L << (31 - old))
       if (old == 0) zeroRegs -= 1
       regs(i) = clamped.toByte
       true
@@ -49,15 +44,7 @@ final class RegisterArray(val size: Int, val width: Int) {
   }
 
   /** Incrementally maintained `Σ_j 2^{-R[j]}`. */
-  def sumPow2Neg: Double = sumPow
-
-  /** Recompute `Σ_j 2^{-R[j]}` from scratch (O(size)); test cross-check. */
-  def recomputeSumPow2Neg: Double = {
-    var s = 0.0
-    var i = 0
-    while (i < size) { s += pow2Neg(regs(i).toInt); i += 1 }
-    s
-  }
+  def sumPow2Neg: Double = sum.toDouble / RegisterArray.Two31
 
   /** Number of registers still equal to zero, tracked incrementally (O(1);
     * used by the linear-counting small-range regime of HLL-style
@@ -65,16 +52,6 @@ final class RegisterArray(val size: Int, val width: Int) {
     * would be prohibitive).
     */
   def zeros: Int = zeroRegs
-
-  /** Recount of zero registers by scanning (O(size)); test cross-check of
-    * [[zeros]].
-    */
-  def countZero: Int = {
-    var z = 0
-    var i = 0
-    while (i < size) { if (regs(i) == 0) z += 1; i += 1 }
-    z
-  }
 
   /** Memory footprint in bits (the quantity the paper budgets by). */
   def memoryBits: Long = size.toLong * width
@@ -85,9 +62,5 @@ object RegisterArray {
   /** Width of the shared registers of FreeRS and vHLL: the paper's w = 5. */
   val SharedWidth = 5
 
-  /** Lookup table of 2^-k for k in [0, 63], shared by every register
-    * estimator: the O(m) HLL scans of the baselines call it in their inner
-    * loop, where `math.pow` would dominate runtime.
-    */
-  val pow2Neg: Array[Double] = Array.tabulate(64)(k => math.pow(2.0, -k))
+  private val Two31 = (1L << 31).toDouble
 }

@@ -88,11 +88,11 @@ object Experiments {
 
   /** The line-up with the paper's per-user budgets for `users` users:
     * HLL++ gets mBits/(6·users) registers (at least 2) and LPC mBits/users
-    * bits (at least 1) per user.
+    * bits (at least 2) per user.
     */
   private def budgetLineUp(mBits: Long, m: Int, users: Int, seed: Long): Seq[UserCardinalitySketch] =
     lineUp(mBits, m, math.max(2, (mBits / (HllPlusPlus.Width.toLong * users)).toInt),
-      math.max(1, (mBits / users).toInt), seed)
+      math.max(2, (mBits / users).toInt), seed)
 
   /** The five methods of Table II: the budget line-up without LPC. */
   def tableIISketches(mBits: Long, m: Int, users: Int, seed: Long): Seq[UserCardinalitySketch] =

@@ -75,6 +75,7 @@ class CseSpec extends SparkSpec {
 
   test("rejects invalid m") {
     intercept[IllegalArgumentException](new Cse(1024, 0))
+    intercept[IllegalArgumentException](new Cse(1024, 1))
     intercept[IllegalArgumentException](new Cse(1024, 2048))
   }
 

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.SparkSpec
-import repro.core.{Hashing, RegisterArray}
+import repro.core.Hashing
 
 class HllSpec extends SparkSpec {
 
@@ -47,26 +47,33 @@ class HllSpec extends SparkSpec {
     assert(Hll.estimate(m, sum, 0) == Hll.rawEstimate(m, sum))
   }
 
+  /** n items of one user through `HllPlusPlus(m, seed)`, checked against the
+    * same registers rebuilt from its hashes; returns the estimate.
+    */
+  private def simulated(m: Int, n: Int, seed: Long): Double = {
+    val sk = new HllPlusPlus(m, seed)
+    val regs = new Array[Int](m)
+    (0 until n).foreach { d =>
+      sk.update(0L, d.toLong)
+      val pos = Hashing.itemIndex(d.toLong, m.toLong, seed).toInt
+      regs(pos) = math.max(regs(pos), Hashing.rank(d.toLong, 63, seed))
+    }
+    val est = Hll.estimate(m, regs.foldLeft(0.0)((s, r) => s + Hll.pow2Neg(r)), regs.count(_ == 0))
+    assert(sk.estimate(0L) == est)
+    est
+  }
+
   test("simulated sketch: large-n accuracy within 3σ") {
     val m = 256
     val n = 50000
-    val regs = new RegisterArray(m, 6)
-    (0 until n).foreach { d =>
-      regs.update(Hashing.itemIndex(d.toLong, m.toLong, 3L).toInt, Hashing.rank(d.toLong, 63, 3L))
-    }
-    val est = Hll.estimate(m, regs.sumPow2Neg, regs.countZero)
+    val est = simulated(m, n, 3L)
     val sigma = 1.04 / math.sqrt(m.toDouble) * n
     assert(math.abs(est - n) < 3 * sigma, s"estimate $est vs $n (3σ = ${3 * sigma})")
   }
 
   test("simulated sketch: small-n accuracy via linear counting") {
-    val m = 256
     val n = 30
-    val regs = new RegisterArray(m, 6)
-    (0 until n).foreach { d =>
-      regs.update(Hashing.itemIndex(d.toLong, m.toLong, 5L).toInt, Hashing.rank(d.toLong, 63, 5L))
-    }
-    val est = Hll.estimate(m, regs.sumPow2Neg, regs.countZero)
+    val est = simulated(256, n, 5L)
     assert(math.abs(est - n) < 8, s"LC estimate $est vs $n")
   }
 

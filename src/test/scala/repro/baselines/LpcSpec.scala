@@ -77,6 +77,7 @@ class LpcSpec extends SparkSpec {
 
   test("rejects non-positive m") {
     intercept[IllegalArgumentException](new Lpc(0))
+    intercept[IllegalArgumentException](new Lpc(1))
   }
 
   test("estimate is monotone non-decreasing in the stream") {

@@ -71,6 +71,8 @@ class HashingSpec extends SparkSpec {
     for (i <- 0 until 10000) {
       val r = Hashing.pairRank(i.toLong, i.toLong, 5, 3L)
       assert(r >= 1 && r <= 5)
+      val r1 = Hashing.rank(i.toLong, 5, 3L)
+      assert(r1 >= 1 && r1 <= 5)
     }
   }
 

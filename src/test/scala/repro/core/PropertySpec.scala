@@ -58,7 +58,7 @@ class PropertySpec extends SparkSpec {
         r.update(i, v)
         ok &&= r.get(i) >= before && r.get(i) >= math.min(v, 31)
       }
-      ok && r.sumPow2Neg == r.recomputeSumPow2Neg
+      ok && r.sumPow2Neg == RegisterScan.sumPow2Neg(r)
     }, tests = 50)
   }
 
