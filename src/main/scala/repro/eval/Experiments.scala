@@ -9,6 +9,13 @@ import repro.data.{EdgeStream, GraphStream, Profile}
   * widths, duplicate factor and seeds. The `bench/` suites print each
   * artifact from these calls and assert its shape (`sbt bench/test`).
   *
+  * The accuracy runners (`tableIIFor`, `accuracyTable`, `mSweep`) feed their
+  * independent sketches concurrently through [[feedAll]], one daemon thread
+  * per sketch, and discard the per-sketch timings; they score each sketch
+  * only after every feed has ended and return rows in line-up order, so
+  * their output is the same as a sequential run's. `runtimeTable` (Fig. 3)
+  * times one sketch at a time.
+  *
   * Scaling (DESIGN.md §4): datasets and the shared memory M are both scaled
   * by `sigma` = 1/100 from the paper's setup (M = 5·10⁸ bits → 5·10⁶ bits),
   * which keeps the per-user memory of LPC/HLL++ identical to the paper; the
@@ -31,7 +38,7 @@ object Experiments {
   /** Duplicate-edge factor of the synthetic streams. */
   val DefaultDup = 1.3
   /** Seed of every replica; the sketches' seeds are offsets from it. */
-  private val Seed = 7L
+  private[eval] val Seed = 7L
 
   // ------------------------------------------------------------------ data
 
@@ -90,13 +97,33 @@ object Experiments {
     * HLL++ gets mBits/(6·users) registers (at least 2) and LPC mBits/users
     * bits (at least 2) per user.
     */
-  private def budgetLineUp(mBits: Long, m: Int, users: Int, seed: Long): Seq[UserCardinalitySketch] =
+  private[eval] def budgetLineUp(mBits: Long, m: Int, users: Int, seed: Long): Seq[UserCardinalitySketch] =
     lineUp(mBits, m, math.max(2, (mBits / (HllPlusPlus.Width.toLong * users)).toInt),
       math.max(2, (mBits / users).toInt), seed)
 
   /** The five methods of Table II: the budget line-up without LPC. */
   def tableIISketches(mBits: Long, m: Int, users: Int, seed: Long): Seq[UserCardinalitySketch] =
     budgetLineUp(mBits, m, users, seed).init
+
+  /** Feed the whole stream into every sketch, each on its own daemon
+    * thread, and return once every feed has ended. The sketches share no
+    * mutable state, so each ends as a sequential `Harness.run` leaves it;
+    * the per-sketch timings are discarded. If feeds fail, the first
+    * failing sketch's own exception (in line-up order) is rethrown.
+    */
+  private[eval] def feedAll(sketches: Seq[UserCardinalitySketch], st: EdgeStream): Unit = {
+    val failures = new Array[Throwable](sketches.size)
+    val feeds = sketches.zipWithIndex.map { case (sk, i) =>
+      val t = new Thread(() =>
+        try { Harness.run(sk, st.users, st.items); () }
+        catch { case e: Throwable => failures(i) = e }, s"feed-${sk.name}")
+      t.setDaemon(true) // never keeps the JVM alive
+      t.start()
+      t
+    }
+    feeds.foreach(_.join()) // join also publishes each feed's writes to this thread
+    failures.find(_ != null).foreach(e => throw e)
+  }
 
   // -------------------------------------------------------------- Table II
 
@@ -113,8 +140,9 @@ object Experiments {
                  delta: Double = Delta, seed: Long = Seed + 94): Seq[TableIIRow] = {
     val st = ds.stream
     val threshold = delta * st.totalCardinality
-    tableIISketches(mBits, m, st.userCount, seed).map { sk =>
-      Harness.run(sk, st.users, st.items)
+    val sketches = tableIISketches(mBits, m, st.userCount, seed)
+    feedAll(sketches, st)
+    sketches.map { sk =>
       val (fnr, fpr, trueSp) = Metrics.superSpreader(st.truth, sk.estimate, threshold)
       // No user reported: no false positive, and every true spreader missed.
       TableIIRow(ds.paper.name, sk.name, fnr, fpr, trueSp, fpr == 0.0 && (trueSp == 0 || fnr == 1.0))
@@ -161,6 +189,8 @@ object Experiments {
       // was: timed right after vHLL, HLL++ read ~14 % faster at m = 1024
       // (4-core VM) and failed RuntimeBench's growth check (> 4× from
       // m = 16) more often.
+      // Sequential on purpose: concurrent feeds would share cores and
+      // caches, and these per-update times are the paper's Fig. 3 claim.
       (sketches.dropRight(2) ++ sketches.takeRight(2).reverse).map { sk =>
         RuntimeRow(sk.name, m, Harness.timed(sk, st.users, st.items, warm, measured))
       }
@@ -193,8 +223,9 @@ object Experiments {
   def accuracyTable(profile: Profile = Profile.orkut, sigma: Double = DefaultSigma,
                     mBits: Long = DefaultMBits, m: Int = DefaultVirtualM): Seq[AccuracyRow] = {
     val st = dataset(profile, sigma).stream
-    budgetLineUp(mBits, m, st.userCount, Seed + 11).flatMap { sk =>
-      Harness.run(sk, st.users, st.items)
+    val sketches = budgetLineUp(mBits, m, st.userCount, Seed + 11)
+    feedAll(sketches, st)
+    sketches.flatMap { sk =>
       Metrics.rseByBucket(st.truth, sk.estimate, Metrics.log2Bucket).toSeq.map {
         case (b, (meanN, rse, cnt)) => AccuracyRow(sk.name, 1 << b, meanN, rse, cnt)
       }
@@ -224,15 +255,13 @@ object Experiments {
     // "Small users": n ≤ 4, or the smallest cardinality present when that
     // is larger (n = 63 on the Orkut replica, whose users all have n ≥ 63).
     val cut = math.max(4, st.truth.min)
-    ms.flatMap { m =>
-      Seq[UserCardinalitySketch](
-        new Cse(mBits, m, Seed + 21), new Vhll(regs, m, Seed + 22)
-      ).map { sk =>
-        Harness.run(sk, st.users, st.items)
-        val small = Metrics.rseByBucket(
-          st.truth, sk.estimate, n => if (n <= cut) 0 else 1)
-        SweepRow(sk.name, m, cut, small(0)._2)
-      }
+    val sketches = ms.flatMap { m =>
+      Seq[UserCardinalitySketch](new Cse(mBits, m, Seed + 21), new Vhll(regs, m, Seed + 22)).map(m -> _)
+    }
+    feedAll(sketches.map(_._2), st)
+    sketches.map { case (m, sk) =>
+      val small = Metrics.rseByBucket(st.truth, sk.estimate, n => if (n <= cut) 0 else 1)
+      SweepRow(sk.name, m, cut, small(0)._2)
     }
   }
 

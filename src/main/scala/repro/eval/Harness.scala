@@ -5,6 +5,11 @@ import repro.core.UserCardinalitySketch
 /** Drives a sketch over an in-memory edge stream and measures per-update
   * cost — the quantity Figure 3 of the paper reports ("runtime required for
   * processing each element and updating the cardinality of the user").
+  *
+  * `Experiments.runtimeTable` (Fig. 3) calls [[timed]] one sketch at a time,
+  * so its timings see no other feed. The accuracy runners (Table II, Fig. 5
+  * and the m-sweep) call [[run]] for several sketches concurrently, one
+  * thread each, through `Experiments.feedAll`, and discard the timings.
   */
 object Harness {
 

@@ -1,7 +1,8 @@
 package repro.eval
 
 import repro.SparkSpec
-import repro.data.Profile
+import repro.core.UserCardinalitySketch
+import repro.data.{EdgeStream, Profile}
 
 class ExperimentsSpec extends SparkSpec {
 
@@ -79,6 +80,69 @@ class ExperimentsSpec extends SparkSpec {
     val byMethod = rows.map(r => r.method -> r).toMap
     assert(byMethod("CSE").na)
     assert(!byMethod("FreeBS").na && !byMethod("FreeRS").na)
+  }
+
+  test("tableIIFor rows equal a reference that feeds each sketch alone, at two seeds") {
+    Seq(7L -> 3L, 11L -> 5L).foreach { case (dataSeed, sketchSeed) =>
+      val ds = Experiments.dataset(Profile.chicago, sigma = sigmaTiny, seed = dataSeed)
+      val st = ds.stream
+      val threshold = Experiments.Delta * st.totalCardinality
+      val reference = Experiments.tableIISketches(50_000L, 24, st.userCount, sketchSeed).map { sk =>
+        Harness.run(sk, st.users, st.items)
+        val (fnr, fpr, trueSp) = Metrics.superSpreader(st.truth, sk.estimate, threshold)
+        Experiments.TableIIRow(ds.paper.name, sk.name, fnr, fpr, trueSp,
+          fpr == 0.0 && (trueSp == 0 || fnr == 1.0))
+      }
+      assert(Experiments.tableIIFor(ds, mBits = 50_000L, m = 24, seed = sketchSeed) == reference,
+        s"data seed $dataSeed, sketch seed $sketchSeed")
+    }
+  }
+
+  test("accuracyTable rows equal a reference that feeds each sketch alone, on two replicas") {
+    Seq(Profile.chicago -> sigmaTiny, Profile.flickr -> 0.0005).foreach { case (p, sigma) =>
+      val st = Experiments.dataset(p, sigma).stream
+      val reference = Experiments.budgetLineUp(50_000L, 16, st.userCount, Experiments.Seed + 11).flatMap { sk =>
+        Harness.run(sk, st.users, st.items)
+        Metrics.rseByBucket(st.truth, sk.estimate, Metrics.log2Bucket).toSeq.map {
+          case (b, (meanN, rse, cnt)) => Experiments.AccuracyRow(sk.name, 1 << b, meanN, rse, cnt)
+        }
+      }
+      assert(Experiments.accuracyTable(p, sigma, mBits = 50_000L, m = 16) == reference, p.name)
+    }
+  }
+
+  /** Counts its updates and whether each ran on a daemon thread. It sleeps
+    * `pauseMs` before its first update and throws `failure` at update
+    * number `failAt`, if that is set.
+    */
+  private final class Probe(pauseMs: Long, failAt: Int = -1, failure: Throwable = null)
+      extends UserCardinalitySketch {
+    val name = "probe"
+    def memoryBits: Long = 0L
+    var updates = 0
+    var allDaemon = true
+
+    def update(s: Long, d: Long): Unit = {
+      if (updates == 0) Thread.sleep(pauseMs)
+      allDaemon &&= Thread.currentThread.isDaemon
+      if (updates == failAt) throw failure
+      updates += 1
+    }
+  }
+
+  test("feedAll rethrows a failing sketch's own exception after every other feed has ended") {
+    val n = 5000
+    val st = EdgeStream(Array.tabulate(n)(i => (i % 7).toLong), Array.tabulate(n)(_.toLong), new Array[Int](7))
+    val boom = new IllegalStateException("boom")
+    // The failing feed is first and throws at once; the others end ~200 ms
+    // later, so they are complete here only if feedAll waited for them.
+    val failing = new Probe(pauseMs = 0, failAt = 10, failure = boom)
+    val healthy = Seq.fill(3)(new Probe(pauseMs = 200))
+    val thrown = intercept[IllegalStateException](Experiments.feedAll(failing +: healthy, st))
+    assert(thrown eq boom)
+    assert(failing.updates == 10)
+    healthy.foreach(p => assert(p.updates == n))
+    (failing +: healthy).foreach(p => assert(p.allDaemon, "a feed ran on a non-daemon thread"))
   }
 
   test("runtimeTable produces positive timings for all six methods") {
