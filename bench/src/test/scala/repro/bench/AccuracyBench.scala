@@ -2,7 +2,7 @@ package repro.bench
 
 import repro.SparkSpec
 import repro.data.Profile
-import repro.eval.{Experiments, Harness, Metrics}
+import repro.eval.{Experiments, Metrics}
 
 /** Figure 5 of the paper, reproduced as a table — RSE per cardinality
   * bucket on the Orkut replica (M = 5e6 bits, m = 24, sigma = 1/100), plus
@@ -87,8 +87,8 @@ class AccuracyBench extends SparkSpec {
     val st = ds.stream
     val sketches = Experiments.tableIISketches(
       Experiments.DefaultMBits, Experiments.DefaultVirtualM, st.userCount, 7L)
+    Experiments.feedAll(sketches, st)
     val overall = sketches.map { sk =>
-      Harness.run(sk, st.users, st.items)
       sk.name -> Metrics.rseByBucket(st.truth, sk.estimate, _ => 0)(0)._2
     }.toMap
     println("Overall RSE: " + overall.map { case (k, v) => f"$k=$v%.4f" }.mkString("  "))

@@ -81,39 +81,84 @@ object GraphStream {
   /** Fit the power-law exponent θ so Σ_u max(1, round(maxCard·u^-θ)) ≈
     * totalCard. The sum is monotone non-increasing in θ; bisect on
     * [0, 16].
+    *
+    * Each step sums the terms one run of equal value at a time (see
+    * [[foreachRun]]), so a step costs O(#runs · log users) `pow` calls
+    * rather than one per user: at chicago's 1.97 M users, about 1,300 runs.
+    * The run sum is exactly the `Long` Σ over users, so θ is as well.
     */
   def fitTheta(users: Int, maxCard: Int, totalCard: Long): Double = {
-    def total(theta: Double): Long = {
-      var sum = 0L
-      var u = 1
-      while (u <= users) {
-        sum += card(maxCard, u, theta)
-        u += 1
-      }
-      sum
-    }
     var lo = 0.0 // sum(lo) ≥ target
     var hi = 16.0 // sum(hi) ≈ users + maxCard ≤ target
-    require(total(hi) <= totalCard,
-      s"target totalCard=$totalCard below floor ${total(hi)} for users=$users maxCard=$maxCard")
+    val floor = total(users, maxCard, hi)
+    require(floor <= totalCard,
+      s"target totalCard=$totalCard below floor $floor for users=$users maxCard=$maxCard")
     var it = 0
     while (it < 60) {
       val mid = (lo + hi) / 2
-      if (total(mid) >= totalCard) lo = mid else hi = mid
+      if (total(users, maxCard, mid) >= totalCard) lo = mid else hi = mid
       it += 1
     }
     lo
   }
 
-  /** Per-user cardinalities for a profile (user 0 gets maxCard). */
+  /** Per-user cardinalities for a profile (user 0 gets maxCard), filled
+    * one run of equal value at a time by [[foreachRun]].
+    */
   def cardinalities(p: Profile): Array[Int] = {
     val theta = fitTheta(p.users, p.maxCard, p.totalCard)
-    Array.tabulate(p.users)(u => card(p.maxCard, u + 1, theta).toInt)
+    val cards = new Array[Int](p.users)
+    foreachRun(p.users, p.maxCard, theta) { (first, last, c) =>
+      java.util.Arrays.fill(cards, (first - 1).toInt, last.toInt, c.toInt)
+    }
+    cards
+  }
+
+  /** Σ_u max(1, round(maxCard·u^-θ)) over the ranks u = 1..users. */
+  private[data] def total(users: Int, maxCard: Int, theta: Double): Long = {
+    var sum = 0L
+    foreachRun(users, maxCard, theta)((first, last, c) => sum += c * (last - first + 1))
+    sum
+  }
+
+  /** Calls `f(first, last, c)` for each maximal run of ranks
+    * first..last ⊆ 1..users whose terms all equal c, in rank order.
+    *
+    * From the run's first rank it gallops (steps 1, 2, 4, …) while the
+    * term still equals c, then bisects to the run's last rank. This finds
+    * the true end because [[card]] is non-increasing in u:
+    * `java.lang.Math.pow` is semi-monotonic by its specification, and
+    * scaling by maxCard > 0, rounding and max(1, ·) all preserve order.
+    * So every run, and every sum over them, equals the per-user one.
+    */
+  private def foreachRun(users: Int, maxCard: Int, theta: Double)(f: (Long, Long, Long) => Unit): Unit = {
+    var first = 1L
+    while (first <= users) {
+      val c = card(maxCard, first, theta)
+      var last = first // the last rank known to be in the run
+      var step = 1L
+      while (step <= users - last && card(maxCard, last + step, theta) == c) {
+        last += step
+        step *= 2
+      }
+      var past = math.min(last + step, users + 1L) // the first rank known to be past it
+      while (past - last > 1) {
+        val mid = (last + past) / 2
+        if (card(maxCard, mid, theta) == c) last = mid else past = mid
+      }
+      f(first, last, c)
+      first = last + 1
+    }
   }
 
   /** The power-law term max(1, round(maxCard·u^-θ)) of user rank u ≥ 1. */
-  private def card(maxCard: Int, u: Int, theta: Double): Long =
+  private def card(maxCard: Int, u: Long, theta: Double): Long =
     math.max(1L, math.round(maxCard * math.pow(u.toDouble, -theta)))
+
+  /** The longest edge array `generate` allocates: the JDK's own soft limit
+    * on array lengths, since some JVMs refuse the few lengths above it.
+    */
+  private val MaxEdges = Int.MaxValue - 8
 
   /** Generate the full stream for a profile.
     *
@@ -122,13 +167,17 @@ object GraphStream {
     * @param seed      RNG seed — generation is deterministic in (p, dupFactor, seed)
     */
   def generate(p: Profile, dupFactor: Double = 1.3, seed: Long = 7L): EdgeStream = {
-    require(dupFactor >= 1.0, s"dupFactor must be ≥ 1, got $dupFactor")
+    require(dupFactor >= 1.0 && dupFactor < Double.PositiveInfinity,
+      s"dupFactor must be finite and ≥ 1, got $dupFactor")
     val truth = cardinalities(p)
     var distinct = 0L
     truth.foreach(distinct += _)
     require(distinct < Int.MaxValue / 2, s"stream too large: $distinct distinct pairs")
     val nDistinct = distinct.toInt
-    val extras = math.round(nDistinct * (dupFactor - 1.0)).toInt
+    val extraEdges = math.round(nDistinct * (dupFactor - 1.0)) // a Long, saturating
+    require(extraEdges <= MaxEdges - nDistinct,
+      s"stream too large: $nDistinct distinct pairs × dupFactor $dupFactor exceeds $MaxEdges edges")
+    val extras = extraEdges.toInt
     val n = nDistinct + extras
 
     val us = new Array[Long](n)

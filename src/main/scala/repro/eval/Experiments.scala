@@ -111,7 +111,7 @@ object Experiments {
     * the per-sketch timings are discarded. If feeds fail, the first
     * failing sketch's own exception (in line-up order) is rethrown.
     */
-  private[eval] def feedAll(sketches: Seq[UserCardinalitySketch], st: EdgeStream): Unit = {
+  private[repro] def feedAll(sketches: Seq[UserCardinalitySketch], st: EdgeStream): Unit = {
     val failures = new Array[Throwable](sketches.size)
     val feeds = sketches.zipWithIndex.map { case (sk, i) =>
       val t = new Thread(() =>

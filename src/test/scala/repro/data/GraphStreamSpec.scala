@@ -48,6 +48,60 @@ class GraphStreamSpec extends SparkSpec {
     cards.sliding(2).foreach(w => assert(w(0) >= w(1)))
   }
 
+  // The per-user loop and bisection that the run walk replaced: the
+  // reference it must match bit for bit.
+  private def refCard(maxCard: Int, u: Int, theta: Double): Long =
+    math.max(1L, math.round(maxCard * math.pow(u.toDouble, -theta)))
+
+  private def refTotal(users: Int, maxCard: Int, theta: Double): Long = {
+    var sum = 0L
+    var u = 1
+    while (u <= users) { sum += refCard(maxCard, u, theta); u += 1 }
+    sum
+  }
+
+  private def refFitTheta(users: Int, maxCard: Int, totalCard: Long): Double = {
+    var lo = 0.0
+    var hi = 16.0
+    var it = 0
+    while (it < 60) {
+      val mid = (lo + hi) / 2
+      if (refTotal(users, maxCard, mid) >= totalCard) lo = mid else hi = mid
+      it += 1
+    }
+    lo
+  }
+
+  private val paperReplicas =
+    for (sigma <- Seq(0.01, 0.001); p <- Profile.all) yield p.scaled(sigma)
+
+  test("fitTheta and cardinalities equal the per-user loop bit for bit") {
+    (paperReplicas :+ Profile("t", 10, 8, 30L) :+ Profile("one", 1, 1, 1L)).foreach { p =>
+      val theta = GraphStream.fitTheta(p.users, p.maxCard, p.totalCard)
+      val ref = refFitTheta(p.users, p.maxCard, p.totalCard)
+      assert(java.lang.Double.doubleToRawLongBits(theta) == java.lang.Double.doubleToRawLongBits(ref),
+        s"${p.name} (${p.users} users): θ $theta vs per-user $ref")
+      val cards = GraphStream.cardinalities(p)
+      val refCards = Array.tabulate(p.users)(u => refCard(p.maxCard, u + 1, ref).toInt)
+      val diff = cards.indices.find(u => cards(u) != refCards(u))
+      assert(cards.length == p.users && diff.isEmpty,
+        s"${p.name}: user ${diff.getOrElse(-1)} differs from the per-user term")
+    }
+  }
+
+  test("the run-summed total equals the per-user sum, one run or all runs of length 1 included") {
+    // θ = 0 makes one run of length `users`; θ = 16 a head of length-1 runs.
+    val grid = Seq(0.0, 1e-9, 0.25, 0.5, 0.79, 1.0, 2.0, 8.0, 16.0)
+    for (p <- paperReplicas; theta <- grid) {
+      assert(GraphStream.total(p.users, p.maxCard, theta) == refTotal(p.users, p.maxCard, theta),
+        s"${p.name} (${p.users} users) at θ = $theta")
+    }
+    // The paper's scale: one 1.97 M-term pass at chicago's fitted θ.
+    val c = Profile.chicago
+    val theta = GraphStream.fitTheta(c.users, c.maxCard, c.totalCard)
+    assert(GraphStream.total(c.users, c.maxCard, theta) == refTotal(c.users, c.maxCard, theta))
+  }
+
   test("every paper profile at sigma = 0.001 is generable with targets met") {
     Profile.all.foreach { p =>
       val scaled = p.scaled(0.001)
@@ -108,6 +162,10 @@ class GraphStreamSpec extends SparkSpec {
 
   test("rejects dupFactor below 1") {
     intercept[IllegalArgumentException](GraphStream.generate(tiny, dupFactor = 0.5))
+    // Edge counts no array can hold are refused before the stream is allocated.
+    Seq(Double.PositiveInfinity, 1e300, 1e9, 3e8).foreach { d =>
+      intercept[IllegalArgumentException](GraphStream.generate(Profile("t", 10, 8, 30L), dupFactor = d))
+    }
   }
 
   test("EdgeStream summary statistics") {
