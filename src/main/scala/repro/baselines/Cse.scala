@@ -23,20 +23,27 @@ final class Cse(val bigM: Long, val m: Int, val seed: Long = 67L)
 
   val array = new BitArray(bigM)
 
+  private val positionRange = Hashing.Range(bigM)
+  private val itemRange = Hashing.Range(m.toLong)
+  private val selectors = Array.tabulate(m)(Hashing.selectorKey)
+
   override def name: String = "CSE"
 
   override def update(s: Long, d: Long): Unit = {
-    val j = Hashing.itemIndex(d, m.toLong, seed).toInt
-    array.set(Hashing.userSelect(s, j, bigM, seed))
-    counters.put(s, estimateNow(s))
+    val user = Hashing.userKey(s, seed)
+    val j = Hashing.itemIndex(d, itemRange, seed).toInt
+    array.set(Hashing.userSelect(user, selectors(j), positionRange))
+    counters.put(s, estimateOf(user))
   }
 
   /** Recompute the estimate of `s` from the shared array (O(m) scan). */
-  def estimateNow(s: Long): Double = {
+  def estimateNow(s: Long): Double = estimateOf(Hashing.userKey(s, seed))
+
+  private def estimateOf(user: Long): Double = {
     var zerosVirtual = 0
     var i = 0
     while (i < m) {
-      if (!array.get(Hashing.userSelect(s, i, bigM, seed))) zerosVirtual += 1
+      if (!array.get(Hashing.userSelect(user, selectors(i), positionRange))) zerosVirtual += 1
       i += 1
     }
     val raw = Lpc.estimate(m, zerosVirtual)

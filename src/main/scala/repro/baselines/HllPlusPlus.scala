@@ -18,12 +18,13 @@ final class HllPlusPlus(val m: Int, val seed: Long = 53L) extends UserCardinalit
   val width: Int = HllPlusPlus.Width
 
   private val sketches = mutable.HashMap.empty[Long, Array[Byte]]
+  private val itemRange = Hashing.Range(m.toLong)
 
   override def name: String = "HLL++"
 
   override def update(s: Long, d: Long): Unit = {
     val regs = sketches.getOrElseUpdate(s, new Array[Byte](m))
-    val pos = Hashing.itemIndex(d, m.toLong, seed).toInt
+    val pos = Hashing.itemIndex(d, itemRange, seed).toInt
     val r = Hashing.rank(d, 63, seed) // capped at 2^Width − 1
     if (r > regs(pos)) regs(pos) = r.toByte
     counters.put(s, estimateFrom(regs))

@@ -17,6 +17,7 @@ final class Lpc(val m: Int, val seed: Long = 41L) extends UserCardinalitySketch 
   require(m >= 2, s"LPC needs at least 2 bits per user, got $m")
 
   private val sketches = mutable.HashMap.empty[Long, BitArray]
+  private val itemRange = Hashing.Range(m.toLong)
 
   override def name: String = "LPC"
 
@@ -25,7 +26,7 @@ final class Lpc(val m: Int, val seed: Long = 41L) extends UserCardinalitySketch 
 
   override def update(s: Long, d: Long): Unit = {
     val b = sketchOf(s)
-    b.set(Hashing.itemIndex(d, m.toLong, seed))
+    b.set(Hashing.itemIndex(d, itemRange, seed))
     counters.put(s, estimateFrom(b))
   }
 

@@ -24,23 +24,30 @@ final class Vhll(val bigM: Int, val m: Int, val seed: Long = 79L)
 
   val registers = new RegisterArray(bigM, RegisterArray.SharedWidth)
 
+  private val positionRange = Hashing.Range(bigM.toLong)
+  private val itemRange = Hashing.Range(m.toLong)
+  private val selectors = Array.tabulate(m)(Hashing.selectorKey)
+
   override def name: String = "vHLL"
 
   override def update(s: Long, d: Long): Unit = {
-    val j = Hashing.itemIndex(d, m.toLong, seed).toInt
-    val pos = Hashing.userSelect(s, j, bigM.toLong, seed).toInt
+    val user = Hashing.userKey(s, seed)
+    val j = Hashing.itemIndex(d, itemRange, seed).toInt
+    val pos = Hashing.userSelect(user, selectors(j), positionRange).toInt
     val r = Hashing.rank(d, registers.maxValue, seed)
     registers.update(pos, r)
-    counters.put(s, estimateNow(s))
+    counters.put(s, estimateOf(user))
   }
 
   /** Recompute the estimate of `s` from the shared array (O(m) scan). */
-  def estimateNow(s: Long): Double = {
+  def estimateNow(s: Long): Double = estimateOf(Hashing.userKey(s, seed))
+
+  private def estimateOf(user: Long): Double = {
     var sumUser = 0.0
     var zerosUser = 0
     var i = 0
     while (i < m) {
-      val r = registers.get(Hashing.userSelect(s, i, bigM.toLong, seed).toInt)
+      val r = registers.get(Hashing.userSelect(user, selectors(i), positionRange).toInt)
       sumUser += Hll.pow2Neg(r)
       if (r == 0) zerosUser += 1
       i += 1

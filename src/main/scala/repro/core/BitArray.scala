@@ -7,7 +7,8 @@ package repro.core
   * `q_B = zeros / size` is available in O(1) at every step.
   */
 final class BitArray(val size: Long) {
-  require(size > 0, s"bit array size must be positive, got $size")
+  require(size > 0 && size <= BitArray.MaxSize,
+    s"bit array size must be in [1, ${BitArray.MaxSize}], got $size")
 
   private val words = new Array[Long](((size + 63) >>> 6).toInt)
   private var zeroCount: Long = size
@@ -46,4 +47,12 @@ final class BitArray(val size: Long) {
 
   /** Memory footprint in bits (the quantity the paper budgets by). */
   def memoryBits: Long = size
+}
+
+object BitArray {
+
+  /** Largest size: 64 bits per word, at most `Int.MaxValue − 8` words (the
+    * JDK's soft array limit).
+    */
+  val MaxSize: Long = 64L * (Int.MaxValue - 8)
 }

@@ -18,8 +18,10 @@ sealed abstract class FreeSlice(val bigM: Long, val slices: Int, val seed: Long)
   /** Number of positions in this slice. */
   val size: Long = FreeSlice.sliceSize(bigM, slices)
 
+  private val range = Hashing.Range(bigM)
+
   /** Local position `h*(e) div slices` of pair (s, d) within its slice. */
-  final def local(s: Long, d: Long): Long = Hashing.pairIndex(s, d, bigM, seed) / slices
+  final def local(s: Long, d: Long): Long = Hashing.pairIndex(s, d, range, seed) / slices
 
   /** Offer pair (s, d): the HT increment `1/q` if the array changed, else 0.0. */
   def offer(s: Long, d: Long): Double
@@ -40,9 +42,11 @@ object FreeSlice {
     bigM / slices
   }
 
-  /** Slice `h*(e) mod slices` that pair (s, d) belongs to. */
-  def key(s: Long, d: Long, bigM: Long, slices: Int, seed: Long): Int =
-    (Hashing.pairIndex(s, d, bigM, seed) % slices).toInt
+  /** Slice `h*(e) mod slices` that pair (s, d) belongs to, with `h*` over
+    * `range = Hashing.Range(bigM)`.
+    */
+  def key(s: Long, d: Long, range: Hashing.Range, slices: Int, seed: Long): Int =
+    (Hashing.pairIndex(s, d, range, seed) % slices).toInt
 }
 
 /** FreeBS slice (Algorithm 1): a bit array; `q_B = zeros / size`. */

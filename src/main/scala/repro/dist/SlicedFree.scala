@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 
-import repro.core.{BitSlice, FreeSlice, RegisterArray, RegisterSlice, UserCounters}
+import repro.core.{BitSlice, FreeSlice, Hashing, RegisterArray, RegisterSlice, UserCounters}
 
 /** Distributed FreeBS/FreeRS over one Spark dataflow, batch or streaming
   * (DESIGN.md §3).
@@ -47,11 +47,12 @@ object SlicedFree {
   private def estimates(edges: Dataset[Edge], bigM: Long, slices: Int, seed: Long)(
       newSlice: () => FreeSlice): DataFrame = {
     FreeSlice.sliceSize(bigM, slices) // fail at call time, before any job or query runs
+    val range = Hashing.Range(bigM)
     val spark = edges.sparkSession
     import spark.implicits._
     implicit val sliceState: Encoder[FreeSlice] = Encoders.kryo[FreeSlice]
     edges
-      .groupByKey(e => FreeSlice.key(e.s, e.d, bigM, slices, seed))
+      .groupByKey(e => FreeSlice.key(e.s, e.d, range, slices, seed))
       .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout) {
         (_: Int, batch: Iterator[Edge], state: GroupState[FreeSlice]) =>
           val slice = state.getOption.getOrElse(newSlice())

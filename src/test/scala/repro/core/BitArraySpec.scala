@@ -54,6 +54,13 @@ class BitArraySpec extends SparkSpec {
     intercept[IllegalArgumentException](new BitArray(-5))
   }
 
+  test("sizes beyond one array's words are rejected") {
+    intercept[IllegalArgumentException](new BitArray(BitArray.MaxSize + 1))
+    intercept[IllegalArgumentException](new BitArray((1L << 37) + 640))
+    intercept[IllegalArgumentException](new BitArray(1L << 38))
+    intercept[IllegalArgumentException](new FreeBS(1L << 38))
+  }
+
   test("memoryBits equals the declared size") {
     assert(new BitArray(123).memoryBits == 123)
   }

@@ -49,7 +49,7 @@ class FreeSliceSpec extends SparkSpec {
       for (s <- 0L until 20L; d <- 0L until 50L) {
         val local = k.local(s, d)
         assert(local >= 0 && local < k.size)
-        assert(local * p + FreeSlice.key(s, d, bigM, p, 17L) == Hashing.pairIndex(s, d, bigM, 17L),
+        assert(local * p + FreeSlice.key(s, d, Hashing.Range(bigM), p, 17L) == Hashing.pairIndex(s, d, bigM, 17L),
           s"P=$p pair ($s, $d)")
       }
     }

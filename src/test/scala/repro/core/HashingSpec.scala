@@ -35,6 +35,23 @@ class HashingSpec extends SparkSpec {
     }
   }
 
+  test("Range equals floorMod on edge sizes and hashes") {
+    val sizes = Seq(1L, 2L, 7L, 24L, 5_000_000L, 500_000_000L, Hashing.Range.MaxSize) ++
+      (0 to 61).map(1L << _)
+    for (size <- sizes.distinct) {
+      val range = Hashing.Range(size)
+      assert(range.size == size)
+      for (h <- Seq(Long.MinValue, -1L, 0L, 1L, Long.MaxValue, size, -size, size - 1))
+        assert(range(h) == java.lang.Math.floorMod(h, size), s"Range($size)($h)")
+    }
+  }
+
+  test("Range rejects sizes outside [1, 2^61]") {
+    intercept[IllegalArgumentException](Hashing.Range(0L))
+    intercept[IllegalArgumentException](Hashing.Range(-1L))
+    intercept[IllegalArgumentException](Hashing.Range(Hashing.Range.MaxSize + 1))
+  }
+
   test("pairIndex is uniform over a small range") {
     val m = 16L
     val counts = new Array[Int](m.toInt)

@@ -15,12 +15,30 @@ class PropertySpec extends SparkSpec {
 
   private val posLong = Gen.chooseNum(1L, Long.MaxValue - 1)
   private val anyLong = Gen.chooseNum(Long.MinValue, Long.MaxValue)
+  /** Sizes in [1, 2^61], spread evenly over their bit lengths. */
+  private val rangeSize = Gen.chooseNum(0, 61).flatMap(k => Gen.chooseNum(1L, 1L << k))
 
   test("property: index always lands in [0, range)") {
     check(Prop.forAll(anyLong, Gen.chooseNum(1L, 1L << 40)) { (h, r) =>
       val i = Hashing.index(h, r)
       i >= 0 && i < r
     })
+  }
+
+  test("property: Range(r)(h) equals floorMod(h, r) for every h and r in [1, 2^61]") {
+    check(Prop.forAllNoShrink(anyLong, rangeSize) { (h, r) =>
+      Hashing.Range(r)(h) == java.lang.Math.floorMod(h, r)
+    }, tests = 10000)
+  }
+
+  test("property: the Range overloads and the hoisted f_i(s) equal the Long-range hashes") {
+    check(Prop.forAllNoShrink(anyLong, anyLong, Gen.chooseNum(0, 1023), rangeSize, anyLong) { (s, d, i, r, seed) =>
+      val rg = Hashing.Range(r)
+      Hashing.userSelect(Hashing.userKey(s, seed), Hashing.selectorKey(i), rg) ==
+        Hashing.userSelect(s, i, r, seed) &&
+      Hashing.pairIndex(s, d, rg, seed) == Hashing.pairIndex(s, d, r, seed) &&
+      Hashing.itemIndex(d, rg, seed) == Hashing.itemIndex(d, r, seed)
+    }, tests = 2000)
   }
 
   test("property: pairIndex and pairRank are pure functions") {

@@ -2,7 +2,7 @@ package repro.dist
 
 import org.scalatest.Assertions._
 
-import repro.core.{FreeSlice, UserCounters}
+import repro.core.{FreeSlice, Hashing, UserCounters}
 
 /** Sequential reference for the Spark paths: P kernels run one after
   * another over the edges in arrival order t, each edge offered to its slice.
@@ -15,9 +15,10 @@ object SliceReference {
   def run[K <: FreeSlice](edges: Seq[SlicedFree.Edge])(newSlice: => K): (IndexedSeq[K], Map[Long, Double]) = {
     val k = newSlice
     val kernels = k +: Vector.fill(k.slices - 1)(newSlice)
+    val range = Hashing.Range(k.bigM)
     val est = new UserCounters
     edges.sortBy(_.t).foreach { e =>
-      est.add(e.s, kernels(FreeSlice.key(e.s, e.d, k.bigM, k.slices, k.seed)).offer(e.s, e.d))
+      est.add(e.s, kernels(FreeSlice.key(e.s, e.d, range, k.slices, k.seed)).offer(e.s, e.d))
     }
     (kernels, est.iterator.toMap)
   }
