@@ -14,7 +14,10 @@ import repro.core.{BitArray, Hashing, UserCardinalitySketch}
   * zero count. When the virtual sketch saturates (Û_s = 0) the estimate is
   * capped at the range limit `m·ln m`; negative estimates (noise term
   * exceeding the raw term for tiny users) are clamped to 0. Per §V-B each
-  * arrival refreshes only the arriving user's counter, costing O(m).
+  * arrival refreshes only the arriving user's counter, costing O(m): the m
+  * reads of the virtual bits. The rest is fixed work, kept off that path:
+  * the LPC estimate comes from a table of its m + 1 values, and the noise
+  * term is memoised on the exact global zero count it is computed from.
   */
 final class Cse(val bigM: Long, val m: Int, val seed: Long = 67L)
     extends UserCardinalitySketch {
@@ -26,6 +29,11 @@ final class Cse(val bigM: Long, val m: Int, val seed: Long = 67L)
   private val positionRange = Hashing.Range(bigM)
   private val itemRange = Hashing.Range(m.toLong)
   private val selectors = Array.tabulate(m)(Hashing.selectorKey)
+  private val virtualEstimate = Lpc.estimates(m)
+
+  // −m·ln(U/bigM) and the zero count U it was computed from (−1: none yet).
+  private var noiseZeros = -1L
+  private var noiseTerm = 0.0
 
   override def name: String = "CSE"
 
@@ -40,18 +48,22 @@ final class Cse(val bigM: Long, val m: Int, val seed: Long = 67L)
   def estimateNow(s: Long): Double = estimateOf(Hashing.userKey(s, seed))
 
   private def estimateOf(user: Long): Double = {
-    var zerosVirtual = 0
+    var ones = 0
     var i = 0
     while (i < m) {
-      if (!array.get(Hashing.userSelect(user, selectors(i), positionRange))) zerosVirtual += 1
+      ones += array.bit(Hashing.userSelect(user, selectors(i), positionRange))
       i += 1
     }
-    val raw = Lpc.estimate(m, zerosVirtual)
+    val zerosVirtual = m - ones
+    val raw = virtualEstimate(zerosVirtual)
     if (zerosVirtual == 0) raw // saturated: the range cap m·ln m
-    else {
-      val noise = -m * math.log(array.zeros.toDouble / bigM)
-      math.max(0.0, raw - noise)
-    }
+    else math.max(0.0, raw - noise)
+  }
+
+  private def noise: Double = {
+    val z = array.zeros
+    if (z != noiseZeros) { noiseZeros = z; noiseTerm = -m * math.log(z.toDouble / bigM) }
+    noiseTerm
   }
 
   override def memoryBits: Long = array.memoryBits

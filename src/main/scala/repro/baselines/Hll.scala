@@ -10,9 +10,8 @@ package repro.baselines
   */
 object Hll {
 
-  /** Lookup table of 2^-k for k in [0, 63]: the O(m) register scans of
-    * HLL++ and vHLL read it in their inner loop, where `math.pow` would
-    * dominate runtime.
+  /** Lookup table of 2^-k for k in [0, 63]: HLL++'s O(m) register scan
+    * reads it in its inner loop, where `math.pow` would dominate runtime.
     */
   val pow2Neg: Array[Double] = Array.tabulate(64)(k => math.pow(2.0, -k))
 
@@ -38,5 +37,21 @@ object Hll {
   def estimate(m: Int, sumPow2Neg: Double, zeroRegs: Int): Double = {
     val raw = rawEstimate(m, sumPow2Neg)
     if (raw < 2.5 * m && zeroRegs > 0) m * math.log(m.toDouble / zeroRegs) else raw
+  }
+
+  /** `estimate(m, _, _)` for one sketch size m, equal to it bit for bit, with
+    * its fixed work done once: α_m·m² (multiplied in the same order) and the
+    * linear-counting values m·ln(m/z) for every zero count z in [1, m]. The
+    * per-user sketches of HLL++ and vHLL call it on every update.
+    */
+  final class Estimator(m: Int) {
+    private val alphaMM = alpha(m) * m.toDouble * m.toDouble
+    private val smallRange = 2.5 * m
+    private val linear = Array.tabulate(m + 1)(z => m * math.log(m.toDouble / z))
+
+    def apply(sumPow2Neg: Double, zeroRegs: Int): Double = {
+      val raw = alphaMM / sumPow2Neg
+      if (raw < smallRange && zeroRegs > 0) linear(zeroRegs) else raw
+    }
   }
 }

@@ -19,6 +19,7 @@ final class HllPlusPlus(val m: Int, val seed: Long = 53L) extends UserCardinalit
 
   private val sketches = mutable.HashMap.empty[Long, Array[Byte]]
   private val itemRange = Hashing.Range(m.toLong)
+  private val estimator = new Hll.Estimator(m)
 
   override def name: String = "HLL++"
 
@@ -41,7 +42,7 @@ final class HllPlusPlus(val m: Int, val seed: Long = 53L) extends UserCardinalit
       if (r == 0) zeros += 1
       i += 1
     }
-    Hll.estimate(m, sum, zeros)
+    estimator(sum, zeros)
   }
 
   /** Recompute the estimate of `s` from its current registers (O(m)). */

@@ -49,4 +49,9 @@ object Lpc {
   def estimate(m: Int, zeros: Long): Double =
     if (zeros == 0) m * math.log(m.toDouble) // saturated: range cap m·ln m
     else -m * math.log(zeros.toDouble / m)
+
+  /** `estimate(m, z)` for every zero count z in [0, m], indexed by z: CSE
+    * reads its virtual bitmap's estimate here instead of taking a log.
+    */
+  def estimates(m: Int): Array[Double] = Array.tabulate(m + 1)(z => estimate(m, z.toLong))
 }

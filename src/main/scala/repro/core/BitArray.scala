@@ -19,11 +19,14 @@ final class BitArray(val size: Long) {
   /** Number of bits set to one. */
   def ones: Long = size - zeroCount
 
-  /** True if bit `i` is set. */
-  def get(i: Long): Boolean = {
+  /** Bit `i` as 0 or 1, so a scan can count set bits without a branch. */
+  def bit(i: Long): Int = {
     require(i >= 0 && i < size, s"bit index $i out of [0, $size)")
-    (words((i >>> 6).toInt) & (1L << (i & 63))) != 0
+    (words((i >>> 6).toInt) >>> (i & 63)).toInt & 1
   }
+
+  /** True if bit `i` is set. */
+  def get(i: Long): Boolean = bit(i) != 0
 
   /** Set bit `i`; returns true iff the bit flipped 0 → 1. */
   def set(i: Long): Boolean = {

@@ -62,5 +62,6 @@ object RegisterArray {
   /** Width of the shared registers of FreeRS and vHLL: the paper's w = 5. */
   val SharedWidth = 5
 
-  private val Two31 = (1L << 31).toDouble
+  /** 2^31: an integer sum Σ 2^(31−R) divided by it is Σ 2^−R. */
+  private[repro] val Two31 = (1L << 31).toDouble
 }

@@ -77,6 +77,21 @@ class HllSpec extends SparkSpec {
     assert(math.abs(est - n) < 8, s"LC estimate $est vs $n")
   }
 
+  test("Estimator(m) equals estimate(m, sum, z) by raw bits over a spread of sums and every z") {
+    val rng = new scala.util.Random(17)
+    for (m <- Seq(2, 16, 24, 64, 1024)) {
+      val est = new Hll.Estimator(m)
+      // Σ 2^-R over m registers lies in [m·2^-31, m]: every power-of-two
+      // level, both sides of the 2.5·m switch, and random sums between.
+      val sums = (0 to 31).map(k => m * Hll.pow2Neg(k)) ++
+        Seq(m * 0.28, m * 0.2836, m * 0.29) ++ Seq.fill(40)(m * math.pow(2.0, -31 * rng.nextDouble()))
+      for (sum <- sums; z <- 0 to m) {
+        assert(java.lang.Double.doubleToRawLongBits(est(sum, z)) ==
+          java.lang.Double.doubleToRawLongBits(Hll.estimate(m, sum, z)), s"m $m, sum $sum, z $z")
+      }
+    }
+  }
+
   test("alpha rejects degenerate m") {
     intercept[IllegalArgumentException](Hll.alpha(1))
   }

@@ -75,6 +75,17 @@ class LpcSpec extends SparkSpec {
     assert(new Lpc(64).estimateNow(9L) == 0.0)
   }
 
+  test("the table of estimates equals estimate(m, z) by raw bits for every z") {
+    for (m <- Seq(2, 16, 24, 64, 1024)) {
+      val table = Lpc.estimates(m)
+      assert(table.length == m + 1)
+      (0 to m).foreach { z =>
+        assert(java.lang.Double.doubleToRawLongBits(table(z)) ==
+          java.lang.Double.doubleToRawLongBits(Lpc.estimate(m, z.toLong)), s"m $m, z $z")
+      }
+    }
+  }
+
   test("rejects non-positive m") {
     intercept[IllegalArgumentException](new Lpc(0))
     intercept[IllegalArgumentException](new Lpc(1))

@@ -2,15 +2,16 @@ package repro.baselines
 
 import repro.SparkSpec
 import repro.core.{BitArray, Hashing, RegisterArray, UserCardinalitySketch}
-import repro.data.Profile
+import repro.data.{EdgeStream, Profile}
 import repro.eval.{Experiments, Harness}
 import scala.collection.mutable
 
 /** The O(m) baselines reduce their hashes with prebuilt `Hashing.Range`s and
   * hoist the per-user half of `f_i(s)`. These copies of their earlier
   * `update`/`estimateNow` reduce every hash with `Math.floorMod` through the
-  * `Long`-range `Hashing` functions; both must give the same estimates, bit
-  * for bit.
+  * `Long`-range `Hashing` functions, and compute every estimator term afresh
+  * on each refresh (no tables, memoised noise terms or integer sums); both
+  * must give the same estimates, bit for bit.
   */
 private object FloorMod {
 
@@ -107,6 +108,23 @@ private object FloorMod {
 
 class RangeIdentitySpec extends SparkSpec {
 
+  private type Pair = (UserCardinalitySketch, UserCardinalitySketch, Long => Double, Long => Double)
+
+  private val bits = java.lang.Double.doubleToRawLongBits _
+
+  /** Feeds both sketches of each pair the stream; every user's tracked and
+    * fresh estimates must agree by raw bits.
+    */
+  private def assertSameEstimates(st: EdgeStream, pairs: Seq[Pair]): Unit =
+    pairs.foreach { case (now, old, nowFresh, oldFresh) =>
+      Harness.run(now, st.users, st.items)
+      Harness.run(old, st.users, st.items)
+      val users = 0L until st.userCount.toLong
+      val differ = users.filter(u =>
+        bits(now.estimate(u)) != bits(old.estimate(u)) || bits(nowFresh(u)) != bits(oldFresh(u)))
+      assert(differ.isEmpty, s"${now.name}: ${differ.size} users differ, first ${differ.take(5)}")
+    }
+
   test("CSE, vHLL, HLL++ and LPC give the floorMod copies' estimates bit for bit at Table II's settings") {
     val st = Experiments.dataset(Profile.chicago).stream
     val mBits = Experiments.DefaultMBits
@@ -115,7 +133,7 @@ class RangeIdentitySpec extends SparkSpec {
     val hllppM = math.max(2, (mBits / (HllPlusPlus.Width.toLong * st.userCount)).toInt)
     val lpcM = math.max(2, (mBits / st.userCount).toInt)
     val seed = 101L
-    val pairs: Seq[(UserCardinalitySketch, UserCardinalitySketch, Long => Double, Long => Double)] = {
+    val pairs: Seq[Pair] = {
       val (cse, oldCse) = (new Cse(mBits, m, seed), new FloorMod.FloorCse(mBits, m, seed))
       val (vhll, oldVhll) = (new Vhll(regs, m, seed), new FloorMod.FloorVhll(regs, m, seed))
       val (hllpp, oldHllpp) = (new HllPlusPlus(hllppM, seed), new FloorMod.FloorHllPlusPlus(hllppM, seed))
@@ -125,15 +143,29 @@ class RangeIdentitySpec extends SparkSpec {
         (hllpp, oldHllpp, hllpp.estimateNow _, oldHllpp.estimateNow _),
         (lpc, oldLpc, lpc.estimateNow _, oldLpc.estimateNow _))
     }
-    val bits = java.lang.Double.doubleToRawLongBits _
-    pairs.foreach { case (now, old, nowFresh, oldFresh) =>
-      Harness.run(now, st.users, st.items)
-      Harness.run(old, st.users, st.items)
-      val users = 0L until st.userCount.toLong
-      val differ = users.filter(u =>
-        bits(now.estimate(u)) != bits(old.estimate(u)) || bits(nowFresh(u)) != bits(oldFresh(u)))
-      assert(differ.isEmpty, s"${now.name}: ${differ.size} users differ, first ${differ.take(5)}")
-      assert(users.count(now.estimate(_) > 0.0) > st.userCount / 2, s"${now.name}: estimates mostly 0")
+    assertSameEstimates(st, pairs)
+    pairs.foreach { case (now, _, _, _) =>
+      assert((0L until st.userCount.toLong).count(now.estimate(_) > 0.0) > st.userCount / 2,
+        s"${now.name}: estimates mostly 0")
     }
+  }
+
+  test("CSE and vHLL on small shared arrays give the floorMod copies' estimates bit for bit up to saturation") {
+    // Arrays this small fill up on the chicago replica. On the way users
+    // are clamped to 0 (noise above their raw estimate) and virtual bitmaps
+    // saturate at m·ln m; the streams end on a full bit array (no zero
+    // left for CSE's noise term) and with no zero register (vHLL's global
+    // linear-counting switch off).
+    val st = Experiments.dataset(Profile.chicago).stream
+    val (m, seed) = (24, 101L)
+    val (cse, oldCse) = (new Cse(4096, m, seed), new FloorMod.FloorCse(4096, m, seed))
+    val (vhll, oldVhll) = (new Vhll(1024, m, seed), new FloorMod.FloorVhll(1024, m, seed))
+    assertSameEstimates(st, Seq((cse, oldCse, cse.estimateNow _, oldCse.estimateNow _),
+      (vhll, oldVhll, vhll.estimateNow _, oldVhll.estimateNow _)))
+    assert(cse.array.zeros == 0 && vhll.registers.zeros == 0)
+    val users = 0L until st.userCount.toLong
+    assert(users.exists(cse.estimate(_) == 0.0), "no CSE user clamped to 0")
+    assert(users.exists(cse.estimate(_) == m * math.log(m.toDouble)), "no saturated CSE user")
+    assert(users.exists(vhll.estimate(_) == 0.0), "no vHLL user clamped to 0")
   }
 }

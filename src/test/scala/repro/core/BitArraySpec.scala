@@ -32,9 +32,11 @@ class BitArraySpec extends SparkSpec {
 
   test("word boundaries (bits 63, 64, 127) behave") {
     val b = new BitArray(130)
-    Seq(0L, 63L, 64L, 127L, 128L, 129L).foreach(i => assert(b.set(i)))
-    Seq(0L, 63L, 64L, 127L, 128L, 129L).foreach(i => assert(b.get(i)))
+    val set = Set(0L, 63L, 64L, 127L, 128L, 129L)
+    set.foreach(i => assert(b.set(i)))
+    set.foreach(i => assert(b.get(i)))
     assert(b.zeros == 124)
+    (0L until 130L).foreach(i => assert(b.bit(i) == (if (set(i)) 1 else 0), s"bit $i"))
   }
 
   test("sizes that are not multiples of 64 work") {
@@ -46,6 +48,7 @@ class BitArraySpec extends SparkSpec {
   test("out-of-range access throws") {
     val b = new BitArray(10)
     intercept[IllegalArgumentException](b.get(10))
+    intercept[IllegalArgumentException](b.bit(-1))
     intercept[IllegalArgumentException](b.set(-1))
   }
 

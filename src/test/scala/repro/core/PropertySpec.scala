@@ -80,6 +80,20 @@ class PropertySpec extends SparkSpec {
     }, tests = 50)
   }
 
+  test("property: the integer Σ 2^(31−r) over 2^31 equals the left-to-right Double sum of 2^−r") {
+    // vHLL sums a user's m registers as a Long; this equality keeps its
+    // estimates bit-identical to the Double sum for m ≤ 2^22.
+    val regs = for {
+      n <- Gen.chooseNum(1, 1024)
+      top <- Gen.chooseNum(0, 31)
+      rs <- Gen.listOfN(n, Gen.chooseNum(0, top))
+    } yield rs
+    check(Prop.forAll(regs) { rs =>
+      rs.map(r => 1L << (31 - r)).sum.toDouble / (1L << 31).toDouble ==
+        rs.foldLeft(0.0)((s, r) => s + repro.baselines.Hll.pow2Neg(r))
+    }, tests = 500)
+  }
+
   test("property: FreeBS is invariant under duplicate replays") {
     val stream = Gen.listOfN(100, Gen.zip(Gen.chooseNum(0L, 9L), Gen.chooseNum(0L, 49L)))
     check(Prop.forAll(stream) { edges =>

@@ -207,4 +207,19 @@ class ExperimentsSpec extends SparkSpec {
       "CSE    m=16   0.307   m=64   0.158\n" +
       "vHLL   m=16   0.424   m=64   0.508\n")
   }
+
+  test("Table II over the five non-Twitter replicas renders to its recorded SHA-256 at seeds 7 and 11") {
+    // The digests the benchmark records as `digest.table_ii`, for the same
+    // replicas, data seeds and sketch seeds (data seed + 94).
+    val expected = Map(
+      7L -> "bd4a8dbef581741f22da575dd5bc09efb434da40ef50e2cc47c13a2f15d019ac",
+      11L -> "7b6bf43c659a69d1d364f1d5265a694e2fa2994d32992c417fb5eda08cf8500b")
+    expected.foreach { case (seed, sha) =>
+      val rows = Profile.all.filterNot(_ == Profile.twitter)
+        .flatMap(p => Experiments.tableIIFor(Experiments.dataset(p, seed = seed), seed = seed + 94))
+      val digest = java.security.MessageDigest.getInstance("SHA-256")
+        .digest(Experiments.renderTableII(rows).getBytes("UTF-8")).map(b => f"${b & 0xff}%02x").mkString
+      assert(digest == sha, s"seed $seed")
+    }
+  }
 }
