@@ -16,8 +16,10 @@ package repro.core
   */
 final class FreeBS(val m: Long, val seed: Long = 17L) extends FreeSketch(new BitSlice(m, 1, seed)) {
 
-  /** The shared bit array `B`. */
-  def bits: BitArray = slice.bits
+  /** The shared bit array `B`, with every edge fed so far applied. The
+    * reference is current only until the next `update`.
+    */
+  def bits: BitArray = { sync(); slice.bits }
 
   override def name: String = "FreeBS"
 }

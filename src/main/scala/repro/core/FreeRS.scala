@@ -22,8 +22,10 @@ package repro.core
 final class FreeRS(val m: Int, val width: Int = RegisterArray.SharedWidth,
                    val seed: Long = 29L) extends FreeSketch(new RegisterSlice(m, 1, width, seed)) {
 
-  /** The shared register array `R`. */
-  def registers: RegisterArray = slice.registers
+  /** The shared register array `R`, with every edge fed so far applied.
+    * The reference is current only until the next `update`.
+    */
+  def registers: RegisterArray = { sync(); slice.registers }
 
   override def name: String = "FreeRS"
 }

@@ -11,6 +11,10 @@ package repro.core
   * change probability *before* the update, or 0.0 if the array did not
   * change. Sequential FreeBS/FreeRS are the case `slices = 1`. Serializable,
   * so that Structured Streaming can keep a kernel as group state.
+  *
+  * Each slice type writes the HT step once, as [[step]] at an [[address]]
+  * that packs the pair's hashes. `offer` and the block call [[offerAll]]
+  * both run these two, so they cannot drift apart.
   */
 sealed abstract class FreeSlice(val bigM: Long, val slices: Int, val seed: Long)
     extends Serializable {
@@ -20,11 +24,46 @@ sealed abstract class FreeSlice(val bigM: Long, val slices: Int, val seed: Long)
 
   private val range = Hashing.Range(bigM)
 
-  /** Local position `h*(e) div slices` of pair (s, d) within its slice. */
-  final def local(s: Long, d: Long): Long = Hashing.pairIndex(s, d, range, seed) / slices
+  /** Local position `h*(e) div slices` of pair (s, d) within its slice. The
+    * sequential sketches (one slice) skip the divide by 1.
+    */
+  final def local(s: Long, d: Long): Long = {
+    val h = Hashing.pairIndex(s, d, range, seed)
+    if (slices == 1) h else h / slices
+  }
+
+  /** Everything [[step]] needs of pair (s, d): a pure function of the pair. */
+  protected def address(s: Long, d: Long): Long
+
+  /** The HT step at `address`: updates the array and returns `1/q` (q taken
+    * before the update) if the array changed, else 0.0.
+    */
+  protected def step(address: Long): Double
 
   /** Offer pair (s, d): the HT increment `1/q` if the array changed, else 0.0. */
-  def offer(s: Long, d: Long): Double
+  final def offer(s: Long, d: Long): Double = step(address(s, d))
+
+  /** Offers edges (users(i), items(i)), i < n, in order, exactly as `offer`
+    * would, adding each increment to the user's counter and to `total` one
+    * edge at a time; returns the new total. Pass 1 hashes every edge into
+    * `addresses` (length ≥ n), pass 2 runs the HT steps: with no hash in
+    * front of them, the array and counter misses of successive edges
+    * overlap (DESIGN.md §2).
+    */
+  final def offerAll(users: Array[Long], items: Array[Long], n: Int, addresses: Array[Long],
+                     counters: UserCounters, total: Double): Double = {
+    var i = 0
+    while (i < n) { addresses(i) = address(users(i), items(i)); i += 1 }
+    var t = total
+    i = 0
+    while (i < n) {
+      val inc = step(addresses(i))
+      counters.add(users(i), inc)
+      t += inc
+      i += 1
+    }
+    t
+  }
 
   /** Current change probability q of this slice. */
   def q: Double
@@ -49,13 +88,17 @@ object FreeSlice {
     (Hashing.pairIndex(s, d, range, seed) % slices).toInt
 }
 
-/** FreeBS slice (Algorithm 1): a bit array; `q_B = zeros / size`. */
+/** FreeBS slice (Algorithm 1): a bit array; `q_B = zeros / size`. The
+  * address is the local position.
+  */
 final class BitSlice(bigM: Long, slices: Int, seed: Long) extends FreeSlice(bigM, slices, seed) {
   val bits = new BitArray(size)
 
-  override def offer(s: Long, d: Long): Double = {
+  override protected def address(s: Long, d: Long): Long = local(s, d)
+
+  override protected def step(address: Long): Double = {
     val zeros = bits.zeros // q_B = zeros / size, the pre-flip probability
-    if (bits.set(local(s, d))) size.toDouble / zeros else 0.0
+    if (bits.set(address)) size.toDouble / zeros else 0.0
   }
 
   override def q: Double = bits.zeros.toDouble / size
@@ -63,15 +106,20 @@ final class BitSlice(bigM: Long, slices: Int, seed: Long) extends FreeSlice(bigM
   override def memoryBits: Long = bits.memoryBits
 }
 
-/** FreeRS slice (Algorithm 2): width-`width` registers; `q_R = Σ_j 2^{-R[j]} / size`. */
+/** FreeRS slice (Algorithm 2): width-`width` registers; `q_R = Σ_j 2^{-R[j]} / size`.
+  * The address is the rank `ρ*(e)` in the high 32 bits and the local
+  * position, below 2^31, in the low 32.
+  */
 final class RegisterSlice(bigM: Int, slices: Int, width: Int, seed: Long)
     extends FreeSlice(bigM.toLong, slices, seed) {
   val registers = new RegisterArray(size.toInt, width)
 
-  override def offer(s: Long, d: Long): Double = {
+  override protected def address(s: Long, d: Long): Long =
+    (Hashing.pairRank(s, d, registers.maxValue, seed).toLong << 32) | local(s, d)
+
+  override protected def step(address: Long): Double = {
     val sumPow2Neg = registers.sumPow2Neg // q_R^{(t)}: pre-update change probability
-    if (registers.update(local(s, d).toInt, Hashing.pairRank(s, d, registers.maxValue, seed)))
-      1.0 / (sumPow2Neg / size)
+    if (registers.update(address.toInt, (address >>> 32).toInt)) 1.0 / (sumPow2Neg / size)
     else 0.0
   }
 

@@ -22,6 +22,12 @@ object Harness {
   /** Mean ns/update over a stream *prefix*, after a warm-up prefix — used
     * by the runtime bench so JIT compilation does not pollute the numbers.
     * An empty measurement window reports 0, not NaN.
+    *
+    * FreeBS/FreeRS buffer their updates and apply them a block at a time,
+    * on the block's last edge or at the next read. So the window is opened
+    * and closed with one O(1) read (`estimate`), which applies any pending
+    * edges: the warm-up's before the clock starts, the measured edges'
+    * before it stops. The window times exactly its own edges.
     */
   def timed(
       sketch: UserCardinalitySketch,
@@ -35,8 +41,10 @@ object Harness {
       s"stream too short: need ${warmup + measured}, have ${s.length}")
     var i = 0
     while (i < warmup) { sketch.update(s(i), d(i)); i += 1 }
+    sketch.estimate(0L)
     val t0 = System.nanoTime()
     while (i < warmup + measured) { sketch.update(s(i), d(i)); i += 1 }
+    sketch.estimate(0L)
     (System.nanoTime() - t0).toDouble / math.max(1, measured)
   }
 }

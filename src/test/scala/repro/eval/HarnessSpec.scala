@@ -1,7 +1,8 @@
 package repro.eval
 
 import repro.SparkSpec
-import repro.core.FreeBS
+import repro.core.{BitSlice, FreeBS, FreeRS, FreeSketch, FreeSlice, PerEdge, RegisterSlice}
+import repro.core.PerEdge.raw
 
 class HarnessSpec extends SparkSpec {
 
@@ -30,6 +31,20 @@ class HarnessSpec extends SparkSpec {
     val ns = Harness.timed(sk, s, d, warmup = 200, measured = 800)
     assert(ns > 0)
     assert(math.abs(sk.estimatedTotal - 1000) < 30) // all edges still fed
+  }
+
+  test("after timed, FreeBS/FreeRS hold exactly the fed prefix, by raw bits") {
+    // Warm-up and window both end inside a block, and edges are left past the window.
+    val (s, d) = stream(3 * FreeSketch.Block + 100)
+    val (warmup, measured) = (FreeSketch.Block + 300, FreeSketch.Block + 500)
+    def check[K <: FreeSlice](sk: FreeSketch[K], ref: PerEdge[K]): Unit = {
+      Harness.timed(sk, s, d, warmup, measured)
+      (0 until warmup + measured).foreach(i => ref.update(s(i), d(i)))
+      (0L until 7L).foreach(u => assert(raw(sk.estimate(u)) == raw(ref.counters(u)), s"${sk.name} user $u"))
+      assert(raw(sk.estimatedTotal) == raw(ref.total), sk.name)
+    }
+    check(new FreeBS(1 << 12, 5L), new PerEdge(new BitSlice(1 << 12, 1, 5L)))
+    check(new FreeRS(1 << 10, 5, 6L), new PerEdge(new RegisterSlice(1 << 10, 1, 5, 6L)))
   }
 
   test("timed rejects a measurement window longer than the stream") {
