@@ -19,7 +19,7 @@ final class FreeBS(val m: Long, val seed: Long = 17L) extends FreeSketch(new Bit
   /** The shared bit array `B`, with every edge fed so far applied. The
     * reference is current only until the next `update`.
     */
-  def bits: BitArray = { sync(); slice.bits }
+  def bits: BitArray = { flush(); slice.bits }
 
   override def name: String = "FreeBS"
 }

@@ -25,7 +25,7 @@ final class FreeRS(val m: Int, val width: Int = RegisterArray.SharedWidth,
   /** The shared register array `R`, with every edge fed so far applied.
     * The reference is current only until the next `update`.
     */
-  def registers: RegisterArray = { sync(); slice.registers }
+  def registers: RegisterArray = { flush(); slice.registers }
 
   override def name: String = "FreeRS"
 }

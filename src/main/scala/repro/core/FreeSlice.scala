@@ -13,8 +13,8 @@ package repro.core
   * so that Structured Streaming can keep a kernel as group state.
   *
   * Each slice type writes the HT step once, as [[step]] at an [[address]]
-  * that packs the pair's hashes. `offer` and the block call [[offerAll]]
-  * both run these two, so they cannot drift apart.
+  * that packs the pair's hashes. `offer` runs these two, and so does
+  * [[FreeSketch]]'s block loop, so the two paths cannot drift apart.
   */
 sealed abstract class FreeSlice(val bigM: Long, val slices: Int, val seed: Long)
     extends Serializable {
@@ -33,37 +33,15 @@ sealed abstract class FreeSlice(val bigM: Long, val slices: Int, val seed: Long)
   }
 
   /** Everything [[step]] needs of pair (s, d): a pure function of the pair. */
-  protected def address(s: Long, d: Long): Long
+  private[core] def address(s: Long, d: Long): Long
 
   /** The HT step at `address`: updates the array and returns `1/q` (q taken
     * before the update) if the array changed, else 0.0.
     */
-  protected def step(address: Long): Double
+  private[core] def step(address: Long): Double
 
   /** Offer pair (s, d): the HT increment `1/q` if the array changed, else 0.0. */
   final def offer(s: Long, d: Long): Double = step(address(s, d))
-
-  /** Offers edges (users(i), items(i)), i < n, in order, exactly as `offer`
-    * would, adding each increment to the user's counter and to `total` one
-    * edge at a time; returns the new total. Pass 1 hashes every edge into
-    * `addresses` (length ≥ n), pass 2 runs the HT steps: with no hash in
-    * front of them, the array and counter misses of successive edges
-    * overlap (DESIGN.md §2).
-    */
-  final def offerAll(users: Array[Long], items: Array[Long], n: Int, addresses: Array[Long],
-                     counters: UserCounters, total: Double): Double = {
-    var i = 0
-    while (i < n) { addresses(i) = address(users(i), items(i)); i += 1 }
-    var t = total
-    i = 0
-    while (i < n) {
-      val inc = step(addresses(i))
-      counters.add(users(i), inc)
-      t += inc
-      i += 1
-    }
-    t
-  }
 
   /** Current change probability q of this slice. */
   def q: Double
@@ -94,9 +72,9 @@ object FreeSlice {
 final class BitSlice(bigM: Long, slices: Int, seed: Long) extends FreeSlice(bigM, slices, seed) {
   val bits = new BitArray(size)
 
-  override protected def address(s: Long, d: Long): Long = local(s, d)
+  override private[core] def address(s: Long, d: Long): Long = local(s, d)
 
-  override protected def step(address: Long): Double = {
+  override private[core] def step(address: Long): Double = {
     val zeros = bits.zeros // q_B = zeros / size, the pre-flip probability
     if (bits.set(address)) size.toDouble / zeros else 0.0
   }
@@ -114,10 +92,10 @@ final class RegisterSlice(bigM: Int, slices: Int, width: Int, seed: Long)
     extends FreeSlice(bigM.toLong, slices, seed) {
   val registers = new RegisterArray(size.toInt, width)
 
-  override protected def address(s: Long, d: Long): Long =
+  override private[core] def address(s: Long, d: Long): Long =
     (Hashing.pairRank(s, d, registers.maxValue, seed).toLong << 32) | local(s, d)
 
-  override protected def step(address: Long): Double = {
+  override private[core] def step(address: Long): Double = {
     val sumPow2Neg = registers.sumPow2Neg // q_R^{(t)}: pre-update change probability
     if (registers.update(address.toInt, (address >>> 32).toInt)) 1.0 / (sumPow2Neg / size)
     else 0.0

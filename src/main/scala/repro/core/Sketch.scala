@@ -19,15 +19,10 @@ trait UserCardinalitySketch {
   /** Process edge (user, item); updates the user's tracked counter. */
   def update(s: Long, d: Long): Unit
 
-  /** Applies any updates a sketch has buffered. Every read of sketch state
-    * calls it first, so a read at time t sees every edge before t.
+  /** Tracked cardinality estimate of user `s` (0 if never seen) after every
+    * edge fed so far; a sketch that buffers updates applies them first.
     */
-  protected def sync(): Unit = ()
-
-  /** Tracked cardinality estimate of user `s` (0 if never seen), after
-    * every edge fed so far: buffered updates are applied first.
-    */
-  final def estimate(s: Long): Double = { sync(); counters(s) }
+  def estimate(s: Long): Double = counters(s)
 
   /** Sketch memory in bits, excluding the per-user counters that every
     * method needs alike (the paper excludes them from comparisons too).
@@ -36,16 +31,12 @@ trait UserCardinalitySketch {
 }
 
 /** FreeBS/FreeRS: one [[FreeSlice]] kernel spanning the whole shared array
-  * (`slices = 1`) plus per-user Horvitz–Thompson counters.
-  *
-  * `update` buffers the edge. Every [[FreeSketch.Block]] edges the block
-  * goes to the kernel's [[FreeSlice.offerAll]], which offers the edges in
-  * arrival order and adds each non-zero increment `1/q` to the user's
-  * counter and to the running total. Every read ([[estimate]],
-  * [[estimatedTotal]], [[q]] and the arrays of `FreeBS`/`FreeRS`) applies
-  * the pending edges first, so it answers exactly as if each edge had been
-  * offered on arrival. The buffers live here, not in the kernel that Spark
-  * keeps as streaming state.
+  * (`slices = 1`) plus per-user Horvitz–Thompson counters. `update` buffers
+  * the edge and applies each full block of [[FreeSketch.Block]] edges in two
+  * passes (DESIGN.md §2). Every read ([[estimate]], [[estimatedTotal]], [[q]]
+  * and the arrays of `FreeBS`/`FreeRS`) applies the pending edges first, so
+  * it answers exactly as if each edge had been offered on arrival. The
+  * buffers live here, not in the kernel that Spark keeps as streaming state.
   */
 abstract class FreeSketch[K <: FreeSlice](protected val slice: K) extends UserCardinalitySketch {
   import FreeSketch.Block
@@ -58,22 +49,29 @@ abstract class FreeSketch[K <: FreeSlice](protected val slice: K) extends UserCa
     users(pending) = s
     items(pending) = d
     pending += 1
-    if (pending == Block) sync()
+    if (pending == Block) applyPending()
   }
 
-  final override protected def sync(): Unit =
-    if (pending > 0) {
-      totalEst = slice.offerAll(users, items, pending, addresses, counters, totalEst)
-      pending = 0
-    }
+  /** Applies the pending edges before a read. Only reads call it, so the JIT
+    * keeps the block out of the compiled read (DESIGN.md §2).
+    */
+  protected final def flush(): Unit = if (pending > 0) applyPending()
+
+  /** Loop-free and called once per block, so the JIT recompiles it late (DESIGN.md §2). */
+  private def applyPending(): Unit = {
+    totalEst = FreeSketch.offerAll(slice, users, items, pending, addresses, counters, totalEst)
+    pending = 0
+  }
+
+  final override def estimate(s: Long): Double = { flush(); counters(s) }
 
   /** Estimate of the total number of distinct pairs `n(t)` (sum of all
     * per-user increments — itself an unbiased estimator of Σ_s n_s).
     */
-  def estimatedTotal: Double = { sync(); totalEst }
+  def estimatedTotal: Double = { flush(); totalEst }
 
   /** Current change probability q of the shared array. */
-  def q: Double = { sync(); slice.q }
+  def q: Double = { flush(); slice.q }
 
   override def memoryBits: Long = slice.memoryBits
 }
@@ -84,4 +82,25 @@ object FreeSketch {
     * of many edges, small enough (24 KB of buffers) to stay in L1/L2.
     */
   final val Block = 1024
+
+  /** Offers edges (users(i), items(i)), i < n, to `k` in order as `offer`
+    * would, adding each increment to the user's counter and to `total`;
+    * returns the new total. Pass 1 computes every address first, so no hash
+    * delays pass 2's misses. The loops run on parameters: the JIT reloads a
+    * field after every call it cannot see through.
+    */
+  private def offerAll(k: FreeSlice, users: Array[Long], items: Array[Long], n: Int,
+                       addresses: Array[Long], counters: UserCounters, total: Double): Double = {
+    var i = 0
+    while (i < n) { addresses(i) = k.address(users(i), items(i)); i += 1 }
+    var t = total
+    i = 0
+    while (i < n) {
+      val inc = k.step(addresses(i))
+      counters.add(users(i), inc)
+      t += inc
+      i += 1
+    }
+    t
+  }
 }

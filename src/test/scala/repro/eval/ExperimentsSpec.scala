@@ -222,4 +222,17 @@ class ExperimentsSpec extends SparkSpec {
       assert(digest == sha, s"seed $seed")
     }
   }
+
+  private def sha256(s: String): String =
+    java.security.MessageDigest.getInstance("SHA-256").digest(s.getBytes("UTF-8")).map(b => f"${b & 0xff}%02x").mkString
+
+  test("Table I over the six replicas renders to its recorded SHA-256") {
+    assert(sha256(Experiments.renderTableI(Experiments.tableI())) ==
+      "4363574d21dc45ed7d8060eb5c87c053a4adbfaed5ed844e33daf0e94aefd4ad")
+  }
+
+  test("Fig. 5 on the Orkut replica renders to its recorded SHA-256") {
+    assert(sha256(Experiments.renderAccuracy(Experiments.accuracyTable())) ==
+      "90e4fc9ef05f872e68525d22311918027f5a2c41c0fc3159aac7a1081c6f538d")
+  }
 }
