@@ -14,7 +14,8 @@ package repro.core
   *
   * Each slice type writes the HT step once, as [[step]] at an [[address]]
   * that packs the pair's hashes. `offer` runs these two, and so does
-  * [[FreeSketch]]'s block loop, so the two paths cannot drift apart.
+  * [[FreeSketch]] (`address` on arrival, `step` in its block loop), so the
+  * two paths cannot drift apart.
   */
 sealed abstract class FreeSlice(val bigM: Long, val slices: Int, val seed: Long)
     extends Serializable {
@@ -24,13 +25,8 @@ sealed abstract class FreeSlice(val bigM: Long, val slices: Int, val seed: Long)
 
   private val range = Hashing.Range(bigM)
 
-  /** Local position `h*(e) div slices` of pair (s, d) within its slice. The
-    * sequential sketches (one slice) skip the divide by 1.
-    */
-  final def local(s: Long, d: Long): Long = {
-    val h = Hashing.pairIndex(s, d, range, seed)
-    if (slices == 1) h else h / slices
-  }
+  /** Local position `h*(e) div slices` of pair (s, d) within its slice. */
+  final def local(s: Long, d: Long): Long = Hashing.pairIndex(s, d, range, seed) / slices
 
   /** Everything [[step]] needs of pair (s, d): a pure function of the pair. */
   private[core] def address(s: Long, d: Long): Long

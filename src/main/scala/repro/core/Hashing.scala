@@ -26,8 +26,8 @@ object Hashing {
   def mix64(a: Long, b: Long, c: Long): Long = mix64(mix64(a, b) ^ mix64(c + ThirdSalt))
 
   private final val ThirdSalt = 0x2545f4914f6cdd1dL
-  private final val SelectSalt = 0x632be59bd9b4e019L
-  private final val ItemSalt = 0x9e3779b97f4a7c15L
+  private[core] final val SelectSalt = 0x632be59bd9b4e019L
+  private[core] final val ItemSalt = 0x9e3779b97f4a7c15L
 
   /** Uniform index in `[0, range)` from a 64-bit hash (modulo bias is
     * `range / 2^64`, negligible for every range used here).
@@ -92,29 +92,19 @@ object Hashing {
     math.min(java.lang.Long.numberOfLeadingZeros(h) + 1, cap)
   }
 
-  /** `f_i(s)`: the i-th independent user-selector hash of CSE/vHLL,
-    * uniform in `[0, range)`.
-    */
-  def userSelect(s: Long, i: Int, range: Long, seed: Long): Long =
-    index(mix64(seed + SelectSalt, s, i.toLong), range)
-
-  /** The per-user half of `f_i(s)`, computed once per update by CSE/vHLL:
-    * `userSelect(userKey(s, seed), selectorKey(i), Range(r)) == userSelect(s, i, r, seed)`.
+  /** The per-user half of `f_i(s)`, the i-th independent user-selector hash
+    * of CSE/vHLL, computed once per update.
     */
   def userKey(s: Long, seed: Long): Long = mix64(seed + SelectSalt, s)
 
   /** The per-selector half of `f_i(s)`, independent of user and seed. */
   def selectorKey(i: Int): Long = mix64(i.toLong + ThirdSalt)
 
-  /** `f_i(s)` from its two halves, over a prebuilt range. */
+  /** `f_i(s)`, uniform in `[0, range.size)`, from its two halves. */
   def userSelect(userKey: Long, selectorKey: Long, range: Range): Long =
     range(mix64(userKey ^ selectorKey))
 
-  /** `h(d)`: uniform item hash in `[0, m)` used by LPC/CSE/vHLL/HLL. */
-  def itemIndex(d: Long, m: Long, seed: Long): Long =
-    index(mix64(seed + ItemSalt, d), m)
-
-  /** [[itemIndex]] over a prebuilt range. */
+  /** `h(d)`: the item hash of LPC/CSE/vHLL/HLL, uniform in `[0, range.size)`. */
   def itemIndex(d: Long, range: Range, seed: Long): Long =
     range(mix64(seed + ItemSalt, d))
 }

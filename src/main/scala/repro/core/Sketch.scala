@@ -31,9 +31,10 @@ trait UserCardinalitySketch {
 }
 
 /** FreeBS/FreeRS: one [[FreeSlice]] kernel spanning the whole shared array
-  * (`slices = 1`) plus per-user Horvitz–Thompson counters. `update` buffers
-  * the edge and applies each full block of [[FreeSketch.Block]] edges in two
-  * passes (DESIGN.md §2). Every read ([[estimate]], [[estimatedTotal]], [[q]]
+  * (`slices = 1`) plus per-user Horvitz–Thompson counters. `update` hashes
+  * the edge to its address on arrival and buffers it; each full block of
+  * [[FreeSketch.Block]] edges is then applied in one hash-free loop
+  * (DESIGN.md §2). Every read ([[estimate]], [[estimatedTotal]], [[q]]
   * and the arrays of `FreeBS`/`FreeRS`) applies the pending edges first, so
   * it answers exactly as if each edge had been offered on arrival. The
   * buffers live here, not in the kernel that Spark keeps as streaming state.
@@ -42,12 +43,12 @@ abstract class FreeSketch[K <: FreeSlice](protected val slice: K) extends UserCa
   import FreeSketch.Block
 
   private var totalEst = 0.0
-  private val users, items, addresses = new Array[Long](Block)
+  private val users, addresses = new Array[Long](Block)
   private var pending = 0
 
   final override def update(s: Long, d: Long): Unit = {
     users(pending) = s
-    items(pending) = d
+    addresses(pending) = slice.address(s, d)
     pending += 1
     if (pending == Block) applyPending()
   }
@@ -59,7 +60,7 @@ abstract class FreeSketch[K <: FreeSlice](protected val slice: K) extends UserCa
 
   /** Loop-free and called once per block, so the JIT recompiles it late (DESIGN.md §2). */
   private def applyPending(): Unit = {
-    totalEst = FreeSketch.offerAll(slice, users, items, pending, addresses, counters, totalEst)
+    totalEst = FreeSketch.offerAll(slice, users, addresses, pending, counters, totalEst)
     pending = 0
   }
 
@@ -79,22 +80,20 @@ abstract class FreeSketch[K <: FreeSlice](protected val slice: K) extends UserCa
 object FreeSketch {
 
   /** Edges per block of [[FreeSketch.update]]: enough to overlap the misses
-    * of many edges, small enough (24 KB of buffers) to stay in L1/L2.
+    * of many edges, small enough (16 KB of buffers) to stay in L1/L2.
     */
   final val Block = 1024
 
-  /** Offers edges (users(i), items(i)), i < n, to `k` in order as `offer`
-    * would, adding each increment to the user's counter and to `total`;
-    * returns the new total. Pass 1 computes every address first, so no hash
-    * delays pass 2's misses. The loops run on parameters: the JIT reloads a
-    * field after every call it cannot see through.
+  /** Runs `k`'s HT step at addresses(i), i < n, in order, adding each
+    * increment to users(i)'s counter and to `total`; returns the new total.
+    * The loop runs no hash, so the misses of successive edges overlap. It
+    * runs on parameters: the JIT reloads a field after every call it cannot
+    * see through.
     */
-  private def offerAll(k: FreeSlice, users: Array[Long], items: Array[Long], n: Int,
-                       addresses: Array[Long], counters: UserCounters, total: Double): Double = {
-    var i = 0
-    while (i < n) { addresses(i) = k.address(users(i), items(i)); i += 1 }
+  private def offerAll(k: FreeSlice, users: Array[Long], addresses: Array[Long], n: Int,
+                       counters: UserCounters, total: Double): Double = {
     var t = total
-    i = 0
+    var i = 0
     while (i < n) {
       val inc = k.step(addresses(i))
       counters.add(users(i), inc)

@@ -17,14 +17,18 @@ final case class Profile(name: String, users: Int, maxCard: Int, totalCard: Long
     * target total. The scaled maxCard is therefore floored at 2× the
     * implied mean, which keeps the profile feasible (and still heavy-
     * tailed); at the default 1/100 scale no paper profile hits the floor.
+    * Fails if the scaled users or maxCard exceed `Int.MaxValue`.
     */
   def scaled(sigma: Double): Profile = {
     require(sigma > 0 && sigma < Double.PositiveInfinity,
       s"sigma must be positive and finite, got $sigma")
-    val u = math.max(1, math.round(users * sigma).toInt)
-    val t = math.max(u.toLong, math.round(totalCard * sigma))
-    val minMax = math.min(t, math.ceil(2.0 * t / u).toLong).toInt
-    Profile(name, u, math.max(math.max(1, math.round(maxCard * sigma).toInt), minMax), t)
+    val u = math.max(1L, math.round(users * sigma))
+    val t = math.max(u, math.round(totalCard * sigma))
+    val minMax = math.min(t, math.ceil(2.0 * t / u).toLong)
+    val mx = math.max(math.max(1L, math.round(maxCard * sigma)), minMax)
+    require(u <= Int.MaxValue && mx <= Int.MaxValue,
+      s"profile $name scaled by $sigma has users=$u maxCard=$mx, beyond Int.MaxValue")
+    Profile(name, u.toInt, mx.toInt, t)
   }
 }
 

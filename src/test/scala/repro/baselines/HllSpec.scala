@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.SparkSpec
-import repro.core.Hashing
+import repro.core.{FloorModHashing, Hashing}
 
 class HllSpec extends SparkSpec {
 
@@ -55,7 +55,7 @@ class HllSpec extends SparkSpec {
     val regs = new Array[Int](m)
     (0 until n).foreach { d =>
       sk.update(0L, d.toLong)
-      val pos = Hashing.itemIndex(d.toLong, m.toLong, seed).toInt
+      val pos = FloorModHashing.itemIndex(d.toLong, m.toLong, seed).toInt
       regs(pos) = math.max(regs(pos), Hashing.rank(d.toLong, 63, seed))
     }
     val est = Hll.estimate(m, regs.foldLeft(0.0)((s, r) => s + Hll.pow2Neg(r)), regs.count(_ == 0))

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.SparkSpec
-import repro.core.{BitArray, Hashing, RegisterArray, UserCardinalitySketch}
+import repro.core.{BitArray, FloorModHashing, Hashing, RegisterArray, UserCardinalitySketch}
 import repro.data.{EdgeStream, Profile}
 import repro.eval.{Experiments, Harness}
 import scala.collection.mutable
@@ -9,9 +9,9 @@ import scala.collection.mutable
 /** The O(m) baselines reduce their hashes with prebuilt `Hashing.Range`s and
   * hoist the per-user half of `f_i(s)`. These copies of their earlier
   * `update`/`estimateNow` reduce every hash with `Math.floorMod` through the
-  * `Long`-range `Hashing` functions, and compute every estimator term afresh
-  * on each refresh (no tables, memoised noise terms or integer sums); both
-  * must give the same estimates, bit for bit.
+  * `Long`-range functions of `FloorModHashing`, and compute every estimator
+  * term afresh on each refresh (no tables, memoised noise terms or integer
+  * sums); both must give the same estimates, bit for bit.
   */
 private object FloorMod {
 
@@ -19,15 +19,15 @@ private object FloorMod {
     val array = new BitArray(bigM)
     override def name: String = "CSE (floorMod)"
     override def update(s: Long, d: Long): Unit = {
-      val j = Hashing.itemIndex(d, m.toLong, seed).toInt
-      array.set(Hashing.userSelect(s, j, bigM, seed))
+      val j = FloorModHashing.itemIndex(d, m.toLong, seed).toInt
+      array.set(FloorModHashing.userSelect(s, j, bigM, seed))
       counters.put(s, estimateNow(s))
     }
     def estimateNow(s: Long): Double = {
       var zerosVirtual = 0
       var i = 0
       while (i < m) {
-        if (!array.get(Hashing.userSelect(s, i, bigM, seed))) zerosVirtual += 1
+        if (!array.get(FloorModHashing.userSelect(s, i, bigM, seed))) zerosVirtual += 1
         i += 1
       }
       val raw = Lpc.estimate(m, zerosVirtual)
@@ -44,8 +44,8 @@ private object FloorMod {
     val registers = new RegisterArray(bigM, RegisterArray.SharedWidth)
     override def name: String = "vHLL (floorMod)"
     override def update(s: Long, d: Long): Unit = {
-      val j = Hashing.itemIndex(d, m.toLong, seed).toInt
-      val pos = Hashing.userSelect(s, j, bigM.toLong, seed).toInt
+      val j = FloorModHashing.itemIndex(d, m.toLong, seed).toInt
+      val pos = FloorModHashing.userSelect(s, j, bigM.toLong, seed).toInt
       registers.update(pos, Hashing.rank(d, registers.maxValue, seed))
       counters.put(s, estimateNow(s))
     }
@@ -54,7 +54,7 @@ private object FloorMod {
       var zerosUser = 0
       var i = 0
       while (i < m) {
-        val r = registers.get(Hashing.userSelect(s, i, bigM.toLong, seed).toInt)
+        val r = registers.get(FloorModHashing.userSelect(s, i, bigM.toLong, seed).toInt)
         sumUser += Hll.pow2Neg(r)
         if (r == 0) zerosUser += 1
         i += 1
@@ -72,7 +72,7 @@ private object FloorMod {
     override def name: String = "HLL++ (floorMod)"
     override def update(s: Long, d: Long): Unit = {
       val regs = sketches.getOrElseUpdate(s, new Array[Byte](m))
-      val pos = Hashing.itemIndex(d, m.toLong, seed).toInt
+      val pos = FloorModHashing.itemIndex(d, m.toLong, seed).toInt
       val r = Hashing.rank(d, 63, seed)
       if (r > regs(pos)) regs(pos) = r.toByte
       counters.put(s, estimateFrom(regs))
@@ -97,7 +97,7 @@ private object FloorMod {
     private val sketches = mutable.HashMap.empty[Long, BitArray]
     override def name: String = "LPC (floorMod)"
     override def update(s: Long, d: Long): Unit = {
-      sketches.getOrElseUpdate(s, new BitArray(m.toLong)).set(Hashing.itemIndex(d, m.toLong, seed))
+      sketches.getOrElseUpdate(s, new BitArray(m.toLong)).set(FloorModHashing.itemIndex(d, m.toLong, seed))
       counters.put(s, estimateNow(s))
     }
     def estimateNow(s: Long): Double =

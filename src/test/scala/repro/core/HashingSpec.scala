@@ -105,29 +105,29 @@ class HashingSpec extends SparkSpec {
   test("userSelect produces m nearly-independent positions per user") {
     val m = 64
     val bigM = 1L << 16
-    val sel = (0 until m).map(i => Hashing.userSelect(123L, i, bigM, 11L))
+    val sel = (0 until m).map(i => FloorModHashing.userSelect(123L, i, bigM, 11L))
     // With 64 draws from 65536 slots, collisions are rare: expect >= 62 distinct.
     assert(sel.distinct.size >= m - 2)
     sel.foreach(p => assert(p >= 0 && p < bigM))
   }
 
   test("userSelect differs across users") {
-    val a = (0 until 32).map(i => Hashing.userSelect(1L, i, 1L << 16, 11L))
-    val b = (0 until 32).map(i => Hashing.userSelect(2L, i, 1L << 16, 11L))
+    val a = (0 until 32).map(i => FloorModHashing.userSelect(1L, i, 1L << 16, 11L))
+    val b = (0 until 32).map(i => FloorModHashing.userSelect(2L, i, 1L << 16, 11L))
     assert(a != b)
   }
 
   test("itemIndex is deterministic, in range, and roughly uniform") {
-    assert(Hashing.itemIndex(5L, 1024L, 3L) == Hashing.itemIndex(5L, 1024L, 3L))
+    assert(FloorModHashing.itemIndex(5L, 1024L, 3L) == FloorModHashing.itemIndex(5L, 1024L, 3L))
     val m = 8L
     val counts = new Array[Int](m.toInt)
-    for (d <- 0L until 80000L) counts(Hashing.itemIndex(d, m, 3L).toInt) += 1
+    for (d <- 0L until 80000L) counts(FloorModHashing.itemIndex(d, m, 3L).toInt) += 1
     counts.foreach(c => assert(math.abs(c - 10000) < 1000, s"bin $c deviates from 10000"))
   }
 
   test("different seeds decorrelate all hash families") {
     val matches = (0L until 1000L).count(d =>
-      Hashing.itemIndex(d, 1024L, 1L) == Hashing.itemIndex(d, 1024L, 2L))
+      FloorModHashing.itemIndex(d, 1024L, 1L) == FloorModHashing.itemIndex(d, 1024L, 2L))
     assert(matches < 20, s"$matches/1000 collisions across seeds — families correlated")
   }
 }

@@ -35,9 +35,9 @@ class PropertySpec extends SparkSpec {
     check(Prop.forAllNoShrink(anyLong, anyLong, Gen.chooseNum(0, 1023), rangeSize, anyLong) { (s, d, i, r, seed) =>
       val rg = Hashing.Range(r)
       Hashing.userSelect(Hashing.userKey(s, seed), Hashing.selectorKey(i), rg) ==
-        Hashing.userSelect(s, i, r, seed) &&
+        FloorModHashing.userSelect(s, i, r, seed) &&
       Hashing.pairIndex(s, d, rg, seed) == Hashing.pairIndex(s, d, r, seed) &&
-      Hashing.itemIndex(d, rg, seed) == Hashing.itemIndex(d, r, seed)
+      Hashing.itemIndex(d, rg, seed) == FloorModHashing.itemIndex(d, r, seed)
     }, tests = 2000)
   }
 

@@ -181,6 +181,10 @@ class GraphStreamSpec extends SparkSpec {
     Seq(0.0, -1.0, Double.NaN, Double.PositiveInfinity).foreach { sigma =>
       intercept[IllegalArgumentException](Profile.chicago.scaled(sigma))
     }
+    // Scaled counts beyond Int.MaxValue: users, then the maxCard floor.
+    intercept[IllegalArgumentException](Profile.sanjose.scaled(300))
+    intercept[IllegalArgumentException](Profile.twitter.scaled(60))
+    intercept[IllegalArgumentException](Profile("x", 1, 5, 10_000_000_000L).scaled(1.0))
   }
 
   /** The stream's (s, d) edges, duplicates included, as a DataFrame. */
