@@ -14,12 +14,10 @@ package repro.core
   * @param m    number of shared bits (the paper's M)
   * @param seed hash seed; runs are deterministic in it
   */
-final class FreeBS(val m: Long, val seed: Long = 17L) extends FreeSketch(new BitSlice(m, 1, seed)) {
+final class FreeBS(val m: Long, val seed: Long = 17L) extends FreeSketch("FreeBS", new BitSlice(m, 1, seed)) {
 
   /** The shared bit array `B`, with every edge fed so far applied. The
     * reference is current only until the next `update`.
     */
   def bits: BitArray = { flush(); slice.bits }
-
-  override def name: String = "FreeBS"
 }

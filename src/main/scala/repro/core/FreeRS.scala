@@ -20,12 +20,10 @@ package repro.core
   * @param seed  hash seed; runs are deterministic in it
   */
 final class FreeRS(val m: Int, val width: Int = RegisterArray.SharedWidth,
-                   val seed: Long = 29L) extends FreeSketch(new RegisterSlice(m, 1, width, seed)) {
+                   val seed: Long = 29L) extends FreeSketch("FreeRS", new RegisterSlice(m, 1, width, seed)) {
 
   /** The shared register array `R`, with every edge fed so far applied.
     * The reference is current only until the next `update`.
     */
   def registers: RegisterArray = { flush(); slice.registers }
-
-  override def name: String = "FreeRS"
 }

@@ -13,9 +13,8 @@ package repro.core
   * so that Structured Streaming can keep a kernel as group state.
   *
   * Each slice type writes the HT step once, as [[step]] at an [[address]]
-  * that packs the pair's hashes. `offer` runs these two, and so does
-  * [[FreeSketch]] (`address` on arrival, `step` in its block loop), so the
-  * two paths cannot drift apart.
+  * that packs the pair's hashes. [[FreeSketch]] runs them in every mode;
+  * [[offer]] runs them per edge, the specification the tests hold it to.
   */
 sealed abstract class FreeSlice(val bigM: Long, val slices: Int, val seed: Long)
     extends Serializable {

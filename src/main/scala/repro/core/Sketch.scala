@@ -30,16 +30,16 @@ trait UserCardinalitySketch {
   def memoryBits: Long
 }
 
-/** FreeBS/FreeRS: one [[FreeSlice]] kernel spanning the whole shared array
-  * (`slices = 1`) plus per-user Horvitz–Thompson counters. `update` hashes
-  * the edge to its address on arrival and buffers it; each full block of
-  * [[FreeSketch.Block]] edges is then applied in one hash-free loop
-  * (DESIGN.md §2). Every read ([[estimate]], [[estimatedTotal]], [[q]]
-  * and the arrays of `FreeBS`/`FreeRS`) applies the pending edges first, so
-  * it answers exactly as if each edge had been offered on arrival. The
-  * buffers live here, not in the kernel that Spark keeps as streaming state.
+/** FreeBS/FreeRS's one Horvitz–Thompson loop: a [[FreeSlice]] kernel plus
+  * per-user counters. `update` hashes the edge to its address on arrival
+  * and buffers it; each full block of [[FreeSketch.Block]] edges is then
+  * applied in one hash-free loop (DESIGN.md §2). Every read applies the
+  * pending edges first, so it answers exactly as if each edge had been
+  * offered on arrival. Sequential FreeBS/FreeRS wrap one kernel
+  * (`slices = 1`), and `SlicedFree` wraps a slice's kernel for one
+  * micro-batch; the buffers live here, not in the kernel Spark keeps as state.
   */
-abstract class FreeSketch[K <: FreeSlice](protected val slice: K) extends UserCardinalitySketch {
+class FreeSketch[K <: FreeSlice](val name: String, protected val slice: K) extends UserCardinalitySketch {
   import FreeSketch.Block
 
   private var totalEst = 0.0
@@ -70,6 +70,9 @@ abstract class FreeSketch[K <: FreeSlice](protected val slice: K) extends UserCa
     * per-user increments — itself an unbiased estimator of Σ_s n_s).
     */
   def estimatedTotal: Double = { flush(); totalEst }
+
+  /** Every user's summed increment, pending edges applied; users at 0 are absent. */
+  private[repro] def increments: Iterator[(Long, Double)] = { flush(); counters.iterator }
 
   /** Current change probability q of the shared array. */
   def q: Double = { flush(); slice.q }

@@ -2,8 +2,7 @@ package repro.core
 
 /** The per-user counter table of §V-B of the paper: one cardinality
   * estimate per user, updated only when that user's edge arrives. Every
-  * sketch keeps its counters here, and the Spark paths sum a slice's
-  * estimate deltas here. Users never seen read 0.
+  * sketch keeps its counters here, a Spark slice's too. Users never seen read 0.
   *
   * At the paper's scale this table is touched on every edge and holds
   * millions of users, so it is an unboxed open-addressing table: parallel

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, Dataset, Encoder, Encoders}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.streaming.{GroupState, GroupStateTimeout, OutputMode}
 
-import repro.core.{BitSlice, FreeSlice, Hashing, RegisterArray, RegisterSlice, UserCounters}
+import repro.core.{BitSlice, FreeSketch, FreeSlice, Hashing, RegisterArray, RegisterSlice}
 
 /** Distributed FreeBS/FreeRS over one Spark dataflow, batch or streaming
   * (DESIGN.md §3).
@@ -20,12 +20,12 @@ import repro.core.{BitSlice, FreeSlice, Hashing, RegisterArray, RegisterSlice, U
   * final array state.
   *
   * Each slice's [[FreeSlice]] kernel is the Spark group state of its slice
-  * key. On a batch Dataset every slice starts from a fresh kernel and sees
-  * all its edges at once; on a streaming Dataset the kernel carries over
-  * from one micro-batch to the next, so duplicates across micro-batches are
-  * absorbed and the estimates are live at every trigger, as the paper's
-  * "anytime" requirement demands. Write a streaming result with
-  * OutputMode.Complete.
+  * key; per micro-batch a [[FreeSketch]] runs it over the slice's edges in
+  * arrival order t and emits the per-user increments. On a batch Dataset
+  * every slice starts from a fresh kernel; on a streaming Dataset the
+  * kernel carries over between micro-batches, so duplicates across them are
+  * absorbed and the estimates are live at every trigger (the paper's
+  * "anytime" requirement). Write a streaming result with OutputMode.Complete.
   */
 object SlicedFree {
 
@@ -56,11 +56,12 @@ object SlicedFree {
       .flatMapGroupsWithState(OutputMode.Append, GroupStateTimeout.NoTimeout) {
         (_: Int, batch: Iterator[Edge], state: GroupState[FreeSlice]) =>
           val slice = state.getOption.getOrElse(newSlice())
+          val sketch = new FreeSketch("SlicedFree", slice)
           // Arrival order t, whatever the partitioning: the estimates are deterministic.
-          val deltas = new UserCounters
-          batch.toArray.sortBy(_.t).foreach(e => deltas.add(e.s, slice.offer(e.s, e.d)))
+          batch.toArray.sortBy(_.t).foreach(e => sketch.update(e.s, e.d))
+          val deltas = sketch.increments // applies the last block to the kernel
           state.update(slice)
-          deltas.iterator
+          deltas
       }
       .toDF("s", "delta")
       .groupBy("s")

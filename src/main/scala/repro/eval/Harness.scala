@@ -37,8 +37,9 @@ object Harness {
       measured: Int
   ): Double = {
     require(s.length == d.length, s"ragged stream: ${s.length} users vs ${d.length} items")
-    require(warmup + measured <= s.length,
-      s"stream too short: need ${warmup + measured}, have ${s.length}")
+    require(warmup >= 0 && measured >= 0, s"negative window: warmup $warmup, measured $measured")
+    require(warmup.toLong + measured <= s.length,
+      s"stream too short: need ${warmup.toLong + measured}, have ${s.length}")
     var i = 0
     while (i < warmup) { sketch.update(s(i), d(i)); i += 1 }
     sketch.estimate(0L)

@@ -51,6 +51,10 @@ class HarnessSpec extends SparkSpec {
     val (s, d) = stream(100)
     intercept[IllegalArgumentException](
       Harness.timed(new FreeBS(64), s, d, warmup = 50, measured = 60))
+    // A negative part or an Int-overflowing sum must not pass as a short window.
+    val (s10, d10) = stream(10)
+    for ((warmup, measured) <- Seq((-5, 10), (5, -1), (Int.MaxValue, Int.MaxValue), (Int.MaxValue, 1)))
+      intercept[IllegalArgumentException](Harness.timed(new FreeBS(64), s10, d10, warmup, measured))
   }
 
   test("run on an empty stream is a no-op") {
